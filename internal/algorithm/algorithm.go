@@ -270,44 +270,45 @@ func ViolatingClasses(p *eqclass.Partition, t *dataset.Table, cfg Config) ([]boo
 		return nil, fmt.Errorf("algorithm: diversity constraints need a sensitive attribute")
 	}
 	// One vectorized histogram pass over the dictionary-encoded sensitive
-	// column serves ℓ-diversity, entropy and recursive (c,ℓ) alike.
-	counts, err := p.ValueCountsColumn(t.ColumnVector(si))
+	// column serves ℓ-diversity, entropy, recursive (c,ℓ) and t alike.
+	col := t.ColumnVector(si)
+	counts, err := p.ValueCountsColumn(col)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MinLDiversity > 0 {
-		for ci := range counts {
-			if len(counts[ci]) < cfg.MinLDiversity {
-				bad[ci] = true
-			}
-		}
-	}
+	var sup *privacy.Support
 	if cfg.MaxTCloseness > 0 {
-		tvec, err := privacy.TClosenessVector(p, t.Column(si), false)
-		if err != nil {
-			return nil, err
-		}
-		for ci, rows := range p.Classes {
-			if tvec[rows[0]] > cfg.MaxTCloseness+1e-12 {
-				bad[ci] = true
-			}
-		}
+		sup = privacy.NewSupport(col, false)
 	}
-	if cfg.MinEntropyL > 0 {
-		for ci := range counts {
-			if classEntropyL(counts[ci]) < cfg.MinEntropyL-1e-12 {
-				bad[ci] = true
-			}
+	for ci, hist := range counts {
+		if !cfg.ClassDiverse(hist) {
+			bad[ci] = true
+			continue
 		}
-	}
-	if cfg.RecursiveC > 0 && cfg.RecursiveL > 0 {
-		for ci := range counts {
-			if !classRecursiveCL(counts[ci], cfg.RecursiveC, cfg.RecursiveL) {
+		if sup != nil {
+			d, err := sup.CountsEMD(hist)
+			if err != nil {
+				return nil, err
+			}
+			if d > cfg.MaxTCloseness+1e-12 {
 				bad[ci] = true
 			}
 		}
 	}
 	return bad, nil
+}
+
+// ClassDiverse reports whether one class's sensitive-value histogram meets
+// the configured distinct ℓ, entropy ℓ and recursive (c,ℓ) requirements;
+// the t-closeness bound needs the whole column and is checked apart.
+func (c Config) ClassDiverse(hist map[string]int) bool {
+	if c.MinLDiversity > 0 && len(hist) < c.MinLDiversity {
+		return false
+	}
+	if c.MinEntropyL > 0 && privacy.ClassEntropyL(hist) < c.MinEntropyL-1e-12 {
+		return false
+	}
+	return c.RecursiveC <= 0 || c.RecursiveL <= 0 || classRecursiveCL(hist, c.RecursiveC, c.RecursiveL)
 }
 
 // classRecursiveCL checks recursive (c,ℓ)-diversity for one class's
@@ -326,24 +327,6 @@ func classRecursiveCL(counts map[string]int, c float64, l int) bool {
 		tail += f
 	}
 	return float64(freqs[0]) < c*float64(tail)
-}
-
-// classEntropyL is exp of the Shannon entropy of one class's sensitive
-// value counts — the ℓ of entropy ℓ-diversity for that class.
-func classEntropyL(counts map[string]int) float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range counts {
-		q := float64(c) / float64(total)
-		h -= q * math.Log(q)
-	}
-	return math.Exp(h)
 }
 
 // ApplyNode generalizes the table to the lattice node and reports which

@@ -19,7 +19,6 @@ package mondrian
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"microdata/internal/algorithm"
@@ -76,66 +75,32 @@ func (m *Mondrian) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg a
 		}
 	}
 	// Allowable-cut validity: both sides must meet k and every configured
-	// secondary privacy property (ℓ-diverse / t-close Mondrian).
-	var sensitive []dataset.Value
-	if cfg.MinLDiversity > 0 || cfg.MaxTCloseness > 0 || cfg.MinEntropyL > 0 || (cfg.RecursiveC > 0 && cfg.RecursiveL > 0) {
-		sensitive = t.Column(t.Schema.SensitiveIndex())
+	// secondary privacy property (ℓ-diverse / t-close Mondrian). The
+	// t-closeness support is built once per run, not once per cut.
+	var sensitive *dataset.Column
+	var support *privacy.Support
+	if cfg.MinLDiversity > 0 || cfg.MinEntropyL > 0 || (cfg.RecursiveC > 0 && cfg.RecursiveL > 0) {
+		sensitive = t.ColumnVector(t.Schema.SensitiveIndex())
+	}
+	if cfg.MaxTCloseness > 0 {
+		support = privacy.NewSupport(t.ColumnVector(t.Schema.SensitiveIndex()), false)
 	}
 	valid := func(rows []int) bool {
 		if len(rows) < cfg.K {
 			return false
 		}
-		if cfg.MinLDiversity > 0 {
-			distinct := map[string]struct{}{}
-			for _, r := range rows {
-				distinct[sensitive[r].Key()] = struct{}{}
-			}
-			if len(distinct) < cfg.MinLDiversity {
-				return false
-			}
+		if support != nil && support.RowsEMD(rows) > cfg.MaxTCloseness+1e-12 {
+			return false
 		}
-		if cfg.MaxTCloseness > 0 {
-			d, err := privacy.ClassEMD(sensitive, rows, false)
-			if err != nil || d > cfg.MaxTCloseness+1e-12 {
-				return false
-			}
+		if sensitive == nil {
+			return true
 		}
-		if cfg.RecursiveC > 0 && cfg.RecursiveL > 0 {
-			counts := map[string]int{}
-			for _, r := range rows {
-				counts[sensitive[r].Key()]++
-			}
-			freqs := make([]int, 0, len(counts))
-			for _, f := range counts {
-				freqs = append(freqs, f)
-			}
-			sort.Sort(sort.Reverse(sort.IntSlice(freqs)))
-			if cfg.RecursiveL > len(freqs) {
-				return false
-			}
-			tail := 0
-			for _, f := range freqs[cfg.RecursiveL-1:] {
-				tail += f
-			}
-			if float64(freqs[0]) >= cfg.RecursiveC*float64(tail) {
-				return false
-			}
+		keys, codes := sensitive.DictKeys(), sensitive.Codes()
+		hist := map[string]int{}
+		for _, r := range rows {
+			hist[keys[codes[r]]]++
 		}
-		if cfg.MinEntropyL > 0 {
-			counts := map[string]int{}
-			for _, r := range rows {
-				counts[sensitive[r].Key()]++
-			}
-			h, n := 0.0, float64(len(rows))
-			for _, c := range counts {
-				q := float64(c) / n
-				h -= q * math.Log(q)
-			}
-			if math.Exp(h) < cfg.MinEntropyL-1e-12 {
-				return false
-			}
-		}
-		return true
+		return cfg.ClassDiverse(hist)
 	}
 	var regions [][]int
 	var cancelErr error

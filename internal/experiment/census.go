@@ -83,8 +83,6 @@ func runAlg(ctx context.Context, alg algorithm.Algorithm, tab *dataset.Table, cf
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", alg.Name(), err)
 	}
-	sensIdx := tab.Schema.SensitiveIndex()
-	sensitive := tab.Column(sensIdx)
 	lossCfg := utility.LossConfig{Taxonomies: cfg.Taxonomies}
 	u, err := utility.UtilityVector(r.Table, tab, lossCfg)
 	if err != nil {
@@ -94,15 +92,13 @@ func runAlg(ctx context.Context, alg algorithm.Algorithm, tab *dataset.Table, cf
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", alg.Name(), err)
 	}
-	distinctL, err := privacy.DistinctLDiversity(r.Partition, sensitive)
+	// One histogram pass over the sensitive column serves ℓ, entropy ℓ and t.
+	sensitive := tab.ColumnVector(tab.Schema.SensitiveIndex())
+	counts, err := r.Partition.ValueCountsColumn(sensitive)
 	if err != nil {
 		return nil, err
 	}
-	entropyL, err := privacy.EntropyLDiversity(r.Partition, sensitive)
-	if err != nil {
-		return nil, err
-	}
-	tClose, err := privacy.TCloseness(r.Partition, sensitive, false)
+	div, err := privacy.DiversityFromCounts(sensitive, counts)
 	if err != nil {
 		return nil, err
 	}
@@ -123,9 +119,9 @@ func runAlg(ctx context.Context, alg algorithm.Algorithm, tab *dataset.Table, cf
 		classSizes: privacy.ClassSizeVector(r.Partition),
 		utilVec:    u,
 		kActual:    privacy.KAnonymity(r.Partition),
-		distinctL:  distinctL,
-		entropyL:   entropyL,
-		tClose:     tClose,
+		distinctL:  div.DistinctL,
+		entropyL:   div.EntropyL,
+		tClose:     div.T,
 		lm:         lm,
 		dm:         utility.DiscernibilityMetric(r.Partition),
 		cavg:       cavg,

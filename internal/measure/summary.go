@@ -55,15 +55,10 @@ func Summarize(c *Context) (*Summary, error) {
 		ClassSizeMedian: dist.Median,
 		ClassSizeMax:    dist.Max,
 	}
-	if col, err := c.SensitiveColumn(); err == nil {
-		if dl, err := privacy.DistinctLDiversity(c.Partition, col); err == nil {
-			s.DistinctL = dl
-		}
-		if el, err := privacy.EntropyLDiversity(c.Partition, col); err == nil {
-			s.EntropyL = el
-		}
-		if tc, err := privacy.TCloseness(c.Partition, col, false); err == nil {
-			s.TCloseness = tc
+	if hist, err := c.ClassHistograms(); err == nil {
+		col := c.Orig.ColumnVector(c.Orig.Schema.SensitiveIndex())
+		if d, err := privacy.DiversityFromCounts(col, hist); err == nil {
+			s.DistinctL, s.EntropyL, s.TCloseness = d.DistinctL, d.EntropyL, d.T
 		}
 	}
 	return s, nil

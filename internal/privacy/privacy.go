@@ -42,8 +42,13 @@ func DistinctLDiversity(p *eqclass.Partition, sensitive []dataset.Value) (int, e
 	if err != nil {
 		return 0, err
 	}
+	return minDistinct(counts), nil
+}
+
+// minDistinct is distinct ℓ over per-class histograms (0 for none).
+func minDistinct(counts []map[string]int) int {
 	if len(counts) == 0 {
-		return 0, nil
+		return 0
 	}
 	min := len(counts[0])
 	for _, m := range counts[1:] {
@@ -51,7 +56,7 @@ func DistinctLDiversity(p *eqclass.Partition, sensitive []dataset.Value) (int, e
 			min = len(m)
 		}
 	}
-	return min, nil
+	return min
 }
 
 // IsDistinctLDiverse reports whether every class holds at least l distinct
@@ -78,25 +83,73 @@ func EntropyLDiversity(p *eqclass.Partition, sensitive []dataset.Value) (float64
 	if err != nil {
 		return 0, err
 	}
+	return minEntropyL(counts)
+}
+
+// minEntropyL is entropy ℓ over per-class histograms.
+func minEntropyL(counts []map[string]int) (float64, error) {
 	if len(counts) == 0 {
 		return 0, fmt.Errorf("privacy: entropy ℓ-diversity of empty partition")
 	}
 	minL := math.Inf(1)
 	for _, m := range counts {
-		total := 0
-		for _, c := range m {
-			total += c
-		}
-		h := 0.0
-		for _, c := range m {
-			q := float64(c) / float64(total)
-			h -= q * math.Log(q)
-		}
-		if l := math.Exp(h); l < minL {
+		if l := ClassEntropyL(m); l < minL {
 			minL = l
 		}
 	}
 	return minL, nil
+}
+
+// ClassEntropyL is exp of the Shannon entropy of one class's
+// sensitive-value histogram — the ℓ of entropy ℓ-diversity for that class
+// (0 for an empty histogram). It sums in sorted key order, not Go's random
+// map order, so repeated calls give identical bits.
+func ClassEntropyL(hist map[string]int) float64 {
+	keys := make([]string, 0, len(hist))
+	total := 0
+	for k, c := range hist {
+		keys = append(keys, k)
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	sort.Strings(keys)
+	h := 0.0
+	for _, k := range keys {
+		if c := hist[k]; c > 0 {
+			q := float64(c) / float64(total)
+			h -= q * math.Log(q)
+		}
+	}
+	return math.Exp(h)
+}
+
+// Diversity is the scalar sensitive-attribute digest of one partition.
+type Diversity struct {
+	// DistinctL is distinct ℓ-diversity (DistinctLDiversity).
+	DistinctL int
+	// EntropyL is entropy ℓ-diversity (EntropyLDiversity).
+	EntropyL float64
+	// T is t-closeness under the equal-distance ground metric
+	// (TCloseness with ordered=false).
+	T float64
+}
+
+// DiversityFromCounts computes the digest from one set of per-class
+// histograms of the dictionary-encoded sensitive column
+// (Partition.ValueCountsColumn output), bit-identical to the standalone
+// functions over the same partition.
+func DiversityFromCounts(col *dataset.Column, counts []map[string]int) (Diversity, error) {
+	el, err := minEntropyL(counts)
+	if err != nil {
+		return Diversity{}, err
+	}
+	emds, err := NewSupport(col, false).countsEMDs(counts)
+	if err != nil {
+		return Diversity{}, err
+	}
+	return Diversity{DistinctL: minDistinct(counts), EntropyL: el, T: maxOf(emds)}, nil
 }
 
 // RecursiveCLDiversity reports whether the partition is recursive (c,ℓ)-

@@ -1,7 +1,9 @@
 package privacy
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"microdata/internal/dataset"
@@ -169,6 +171,68 @@ func TestEntropyLDiversity(t *testing.T) {
 	}
 	if _, err := EntropyLDiversity(p, col[:1]); err == nil {
 		t.Error("short column should fail")
+	}
+}
+
+// TestClassEntropyLDeterministic checks that class entropy ℓ does not
+// depend on Go's map iteration order: the fixture's entropy changes in its
+// last bits under some summation orders, yet every call, over maps built
+// in any insertion order, must give the same bits.
+func TestClassEntropyLDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	keys := make([]string, 40)
+	counts := make([]int, len(keys))
+	total := 0
+	for i := range keys {
+		keys[i] = fmt.Sprintf("value-%02d", i)
+		counts[i] = rng.Intn(97) + 1
+		total += counts[i]
+	}
+	entropyIn := func(order []int) float64 {
+		h := 0.0
+		for _, i := range order {
+			q := float64(counts[i]) / float64(total)
+			h -= q * math.Log(q)
+		}
+		return math.Exp(h)
+	}
+	orderSensitive := false
+	base := entropyIn(allRows(len(keys)))
+	for trial := 0; trial < 50 && !orderSensitive; trial++ {
+		orderSensitive = entropyIn(rng.Perm(len(keys))) != base
+	}
+	if !orderSensitive {
+		t.Fatal("fixture entropy does not depend on summation order; the test proves nothing")
+	}
+	var want uint64
+	for trial := 0; trial < 200; trial++ {
+		hist := make(map[string]int, len(keys))
+		for _, i := range rng.Perm(len(keys)) {
+			hist[keys[i]] = counts[i]
+		}
+		got := math.Float64bits(ClassEntropyL(hist))
+		if trial == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("call %d: entropy ℓ bits %x, first call %x", trial, got, want)
+		}
+	}
+	// The partition-level entropy ℓ inherits the determinism.
+	col := make([]dataset.Value, 0, total)
+	for i, k := range keys {
+		for j := 0; j < counts[i]; j++ {
+			col = append(col, dataset.StrVal(k))
+		}
+	}
+	p, _ := eqclass.FromGroups(len(col), [][]int{allRows(len(col))})
+	first, err := EntropyLDiversity(p, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 50; trial++ {
+		if got, _ := EntropyLDiversity(p, col); got != first {
+			t.Fatalf("EntropyLDiversity call %d = %v, first %v", trial, got, first)
+		}
 	}
 }
 

@@ -9,6 +9,136 @@ import (
 	"microdata/internal/eqclass"
 )
 
+// Support is the canonical support of one sensitive column: its distinct
+// values in the order t-closeness compares distributions over — numeric
+// for the ordered metric on an all-numeric column, else by Value.Key — and
+// the column's global probability vector over that order. It is built once
+// per column in O(N + m log m), m the number of distinct values, and then
+// scores any class in O(|class| + m).
+type Support struct {
+	ordered bool
+	codes   []uint32       // row-aligned dictionary codes of the column
+	rank    []int          // dictionary code → canonical position
+	pos     map[string]int // Value.Key → canonical position
+	global  []float64      // whole-column probabilities, canonical order
+}
+
+// NewSupport builds the support of a dictionary-encoded sensitive column
+// under the ordered (true) or equal-distance (false) ground metric.
+func NewSupport(col *dataset.Column, ordered bool) *Support {
+	keys := col.DictKeys()
+	// order starts in dictionary (first-appearance) order, so numbers that
+	// compare equal or unordered (0 and -0, NaN) keep the tie order the
+	// reference rescan gives them.
+	order := make([]int, len(keys)) // canonical position → dictionary code
+	for i := range order {
+		order[i] = i
+	}
+	if ordered && col.IsNumeric() {
+		nums := col.NumericDict()
+		sort.Slice(order, func(i, j int) bool { return nums[order[i]] < nums[order[j]] })
+	} else {
+		sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+	}
+	s := &Support{
+		ordered: ordered,
+		codes:   col.Codes(),
+		rank:    make([]int, len(keys)),
+		pos:     make(map[string]int, len(keys)),
+		global:  make([]float64, len(keys)),
+	}
+	for i, code := range order {
+		s.rank[code] = i
+		s.pos[keys[code]] = i
+	}
+	for _, code := range s.codes {
+		s.global[s.rank[code]]++
+	}
+	normalize(s.global, float64(len(s.codes)))
+	return s
+}
+
+// supportOf dictionary-encodes a sensitive value column and builds its
+// support.
+func supportOf(vals []dataset.Value, ordered bool) *Support {
+	col := dataset.NewColumn()
+	col.Grow(len(vals))
+	for _, v := range vals {
+		col.Append(v)
+	}
+	return NewSupport(col, ordered)
+}
+
+// RowsEMD returns the earth mover's distance between the distribution of
+// the selected rows and the whole column's. Rows must index the column.
+func (s *Support) RowsEMD(rows []int) float64 {
+	local := make([]float64, len(s.global))
+	for _, r := range rows {
+		local[s.rank[s.codes[r]]]++
+	}
+	return s.score(local, float64(len(rows)))
+}
+
+// CountsEMD is RowsEMD for a class given as its sensitive-value histogram
+// keyed by Value.Key (one Partition.ValueCounts entry). A key the column
+// does not hold is an error.
+func (s *Support) CountsEMD(hist map[string]int) (float64, error) {
+	local := make([]float64, len(s.global))
+	total := 0.0
+	for k, cnt := range hist {
+		j, ok := s.pos[k]
+		if !ok {
+			return 0, fmt.Errorf("privacy: histogram key %q not in sensitive column", k)
+		}
+		local[j] = float64(cnt)
+		total += float64(cnt)
+	}
+	return s.score(local, total), nil
+}
+
+// countsEMDs scores every class histogram.
+func (s *Support) countsEMDs(counts []map[string]int) ([]float64, error) {
+	out := make([]float64, len(counts))
+	for ci, m := range counts {
+		d, err := s.CountsEMD(m)
+		if err != nil {
+			return nil, err
+		}
+		out[ci] = d
+	}
+	return out, nil
+}
+
+// score normalizes a class tally in place and measures it against the
+// global distribution.
+func (s *Support) score(local []float64, total float64) float64 {
+	normalize(local, total)
+	return emd(local, s.global, s.ordered)
+}
+
+// normalize turns a tally into probabilities.
+func normalize(counts []float64, total float64) {
+	if total > 0 {
+		for i := range counts {
+			counts[i] /= total
+		}
+	}
+}
+
+// classEMDs scores every class of the partition against the column's
+// support.
+func classEMDs(p *eqclass.Partition, sensitive []dataset.Value, ordered bool) ([]float64, error) {
+	if len(sensitive) != p.N() {
+		return nil, fmt.Errorf("privacy: sensitive column has %d values for %d rows", len(sensitive), p.N())
+	}
+	s := supportOf(sensitive, ordered)
+	perClass := make([]float64, p.NumClasses())
+	for ci, rows := range p.Classes {
+		perClass[ci] = s.RowsEMD(rows)
+	}
+	return perClass, nil
+}
+
 // TCloseness computes the t of the partition under Li et al.'s t-closeness:
 // the maximum earth mover's distance between any class's sensitive-value
 // distribution and the global distribution. The ground distance is chosen
@@ -16,26 +146,25 @@ import (
 // (EMD = total variation distance), true uses the ordered-distance metric
 // for numeric or ordinal attributes.
 func TCloseness(p *eqclass.Partition, sensitive []dataset.Value, ordered bool) (float64, error) {
-	if len(sensitive) != p.N() {
-		return 0, fmt.Errorf("privacy: sensitive column has %d values for %d rows", len(sensitive), p.N())
+	perClass, err := classEMDs(p, sensitive, ordered)
+	if err != nil {
+		return 0, err
 	}
 	if p.N() == 0 {
 		return 0, fmt.Errorf("privacy: t-closeness of empty partition")
 	}
-	// Establish the global distribution over a canonical value order.
-	keys, global := distribution(sensitive, nil, ordered)
+	return maxOf(perClass), nil
+}
+
+// maxOf returns the largest element, 0 for none.
+func maxOf(xs []float64) float64 {
 	worst := 0.0
-	for _, rows := range p.Classes {
-		_, local := distribution(sensitive, rows, ordered)
-		// Align local to the global key order (distribution guarantees
-		// identical key sets because it enumerates the global keys).
-		d := emd(local, global, ordered)
-		if d > worst {
-			worst = d
+	for _, x := range xs {
+		if x > worst {
+			worst = x
 		}
 	}
-	_ = keys
-	return worst, nil
+	return worst
 }
 
 // IsTClose reports whether the partition satisfies t-closeness at threshold t.
@@ -55,20 +184,20 @@ func IsTClose(p *eqclass.Partition, sensitive []dataset.Value, t float64, ordere
 // property. Under the paper's higher-is-better convention callers should
 // negate it (lower distance means better privacy).
 func TClosenessVector(p *eqclass.Partition, sensitive []dataset.Value, ordered bool) ([]float64, error) {
-	if len(sensitive) != p.N() {
-		return nil, fmt.Errorf("privacy: sensitive column has %d values for %d rows", len(sensitive), p.N())
+	perClass, err := classEMDs(p, sensitive, ordered)
+	if err != nil {
+		return nil, err
 	}
-	perClass := make([]float64, p.NumClasses())
-	_, global := distribution(sensitive, nil, ordered)
-	for ci, rows := range p.Classes {
-		_, local := distribution(sensitive, rows, ordered)
-		perClass[ci] = emd(local, global, ordered)
-	}
+	return spread(p, perClass), nil
+}
+
+// spread expands per-class scores to a per-tuple vector.
+func spread(p *eqclass.Partition, perClass []float64) []float64 {
 	out := make([]float64, p.N())
 	for i := range out {
 		out[i] = perClass[p.ClassOf[i]]
 	}
-	return out, nil
+	return out
 }
 
 // TClosenessVectorFromCounts is TClosenessVector computed from precomputed
@@ -82,45 +211,17 @@ func TClosenessVectorFromCounts(p *eqclass.Partition, sensitive []dataset.Value,
 	if err := checkCounts(p, counts); err != nil {
 		return nil, err
 	}
-	keys, global := distribution(sensitive, nil, ordered)
-	pos := make(map[string]int, len(keys))
-	for i, k := range keys {
-		pos[k] = i
+	perClass, err := supportOf(sensitive, ordered).countsEMDs(counts)
+	if err != nil {
+		return nil, err
 	}
-	perClass := make([]float64, p.NumClasses())
-	local := make([]float64, len(keys))
-	for ci, m := range counts {
-		for i := range local {
-			local[i] = 0
-		}
-		total := 0.0
-		for k, cnt := range m {
-			j, ok := pos[k]
-			if !ok {
-				return nil, fmt.Errorf("privacy: histogram key %q not in sensitive column", k)
-			}
-			local[j] = float64(cnt)
-			total += float64(cnt)
-		}
-		if total > 0 {
-			for i := range local {
-				local[i] /= total
-			}
-		}
-		perClass[ci] = emd(local, global, ordered)
-	}
-	out := make([]float64, p.N())
-	for i := range out {
-		out[i] = perClass[p.ClassOf[i]]
-	}
-	return out, nil
+	return spread(p, perClass), nil
 }
 
 // ClassEMD returns the earth mover's distance between the sensitive-value
 // distribution of the selected rows and the distribution of the whole
-// column — the quantity t-closeness bounds per equivalence class. Exposed
-// for algorithms (Mondrian) that must check candidate classes before a
-// partition exists.
+// column — the quantity t-closeness bounds per equivalence class. Callers
+// scoring many classes of one column build its Support once instead.
 func ClassEMD(col []dataset.Value, rows []int, ordered bool) (float64, error) {
 	if len(col) == 0 {
 		return 0, fmt.Errorf("privacy: ClassEMD of empty column")
@@ -133,64 +234,7 @@ func ClassEMD(col []dataset.Value, rows []int, ordered bool) (float64, error) {
 			return 0, fmt.Errorf("privacy: ClassEMD row %d out of range", r)
 		}
 	}
-	_, global := distribution(col, nil, ordered)
-	_, local := distribution(col, rows, ordered)
-	return emd(local, global, ordered), nil
-}
-
-// distribution tallies the sensitive values of the selected rows (all rows
-// when rows is nil) into a probability vector over the canonical ordering
-// of ALL values appearing in the full column, so every distribution shares
-// one support. Ordered attributes sort numerically when possible, else
-// lexicographically.
-func distribution(col []dataset.Value, rows []int, ordered bool) ([]string, []float64) {
-	// Canonical key order over the whole column.
-	seen := map[string]int{}
-	var keys []string
-	numeric := true
-	nums := map[string]float64{}
-	for _, v := range col {
-		k := v.Key()
-		if _, ok := seen[k]; !ok {
-			seen[k] = 0
-			keys = append(keys, k)
-			if v.Kind() == dataset.Num {
-				nums[k] = v.Float()
-			} else {
-				numeric = false
-			}
-		}
-	}
-	if ordered && numeric {
-		sort.Slice(keys, func(i, j int) bool { return nums[keys[i]] < nums[keys[j]] })
-	} else {
-		sort.Strings(keys)
-	}
-	pos := make(map[string]int, len(keys))
-	for i, k := range keys {
-		pos[k] = i
-	}
-	counts := make([]float64, len(keys))
-	total := 0.0
-	add := func(v dataset.Value) {
-		counts[pos[v.Key()]]++
-		total++
-	}
-	if rows == nil {
-		for _, v := range col {
-			add(v)
-		}
-	} else {
-		for _, r := range rows {
-			add(col[r])
-		}
-	}
-	if total > 0 {
-		for i := range counts {
-			counts[i] /= total
-		}
-	}
-	return keys, counts
+	return supportOf(col, ordered).RowsEMD(rows), nil
 }
 
 // emd computes the earth mover's distance between two aligned
