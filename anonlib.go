@@ -67,17 +67,13 @@ import (
 	"microdata/internal/lattice"
 	"microdata/internal/measure"
 	"microdata/internal/paperdata"
-	"microdata/internal/perfsuite"
 	"microdata/internal/privacy"
 	"microdata/internal/stats"
 	"microdata/internal/telemetry"
 	"microdata/internal/telemetry/debugserver"
 	"microdata/internal/telemetry/export"
-	"microdata/internal/telemetry/ledger"
-	"microdata/internal/telemetry/perf"
 	"microdata/internal/telemetry/progress"
 	"microdata/internal/telemetry/report"
-	"microdata/internal/telemetry/resultpack"
 	"microdata/internal/utility"
 	"microdata/internal/workload"
 )
@@ -665,159 +661,6 @@ var (
 	ValidateExposition  = export.Validate
 	StartDebugServer    = debugserver.Start
 	BeginRunReport      = report.Begin
-)
-
-// Performance-trajectory observability (internal/telemetry/perf,
-// internal/perfsuite): canonical benchmark suites run under a harness that
-// records wall time, allocations and runtime/metrics health samples, sealed
-// into versioned perf packs (canonical JSON with a SHA-256 self-manifest)
-// and compared with a median/MAD drift gate. See README "Benchmarking" and
-// DESIGN.md "Perf packs".
-type (
-	// PerfPack is one sealed perf-pack document (schema
-	// "microdata/perf-pack" v1).
-	PerfPack = perf.Pack
-	// PerfBenchmark is one benchmark's recorded metric series in a pack.
-	PerfBenchmark = perf.Benchmark
-	// PerfSeries is one metric's samples with median/MAD statistics.
-	PerfSeries = perf.Series
-	// PerfEnv is the environment fingerprint recorded in every pack.
-	PerfEnv = perf.Env
-	// PerfSuiteSpec is a named set of benchmarks sharing a dataset.
-	PerfSuiteSpec = perf.SuiteSpec
-	// PerfOptions tunes a harness run (repetitions, warmup, logging).
-	PerfOptions = perf.Options
-	// PerfCompareOptions tunes the drift comparator's noise envelope.
-	PerfCompareOptions = perf.CompareOptions
-	// PerfDiff is the full comparison of two packs.
-	PerfDiff = perf.Diff
-	// PerfSuiteOptions sets the dataset parameters of the canonical suites.
-	PerfSuiteOptions = perfsuite.Options
-)
-
-// Stable CLI exit codes shared by anonbench, compare and benchdiff: 0 ok,
-// 1 failure, 2 verification failure, 5 regression drift, 6 invalid input.
-const (
-	ExitOK           = perf.ExitOK
-	ExitFailure      = perf.ExitFailure
-	ExitVerification = perf.ExitVerification
-	ExitDrift        = perf.ExitDrift
-	ExitInvalid      = perf.ExitInvalid
-)
-
-// Perf-pack constructors and helpers.
-var (
-	RunPerfSuites    = perf.RunSuites
-	ReadPerfPack     = perf.ReadFile
-	VerifyPerfPack   = perf.VerifyFile
-	ComparePerfPacks = perf.Compare
-	CanonicalJSON    = perf.Canonicalize
-	ExitCode         = perf.ExitCode
-	PerfSuiteNames   = perfsuite.Names
-	ResolvePerfSuite = perfsuite.Resolve
-)
-
-// TableHash returns the SHA-256 content hash of a table (schema + cells),
-// independent of its backing — the dataset fingerprint perf packs record.
-func TableHash(t *Table) (string, error) { return t.Hash() }
-
-// Correctness-provenance observability (internal/telemetry/resultpack,
-// internal/experiment): experiment *results* — per-algorithm measure
-// values, chosen lattice nodes, class-shape statistics, attack-risk
-// summaries and E-series report digests — sealed into versioned result
-// packs (canonical JSON with a SHA-256 self-manifest and dataset
-// fingerprint) that `compare -verify` replays field-by-field. See README
-// "Result packs & replay verification" and DESIGN.md "Result packs".
-type (
-	// ResultPack is one sealed result-pack document (schema
-	// "microdata/result-pack" v1).
-	ResultPack = resultpack.Pack
-	// ResultFloat is a float64 with pinned canonical-JSON spelling for
-	// NaN, ±Inf and negative zero.
-	ResultFloat = resultpack.Float
-	// ResultAlgorithmRow is one (k, algorithm) entry of a pack.
-	ResultAlgorithmRow = resultpack.AlgorithmResult
-	// ResultAttackRow is one algorithm's attack-risk summary in a pack.
-	ResultAttackRow = resultpack.AttackRisk
-	// ResultTableDigest pins one experiment's full text report.
-	ResultTableDigest = resultpack.TableDigest
-	// ResultComparisonRow records one pairwise comparison's verdicts.
-	ResultComparisonRow = resultpack.ComparisonResult
-	// ResultTableRecorder is the pack sink the experiment runners write
-	// report digests into.
-	ResultTableRecorder = resultpack.TableRecorder
-	// ResultDiffOptions tunes replay diffing (ULP tolerance for floats).
-	ResultDiffOptions = resultpack.DiffOptions
-	// ResultDivergence is one field-level recorded/replayed mismatch.
-	ResultDivergence = resultpack.Divergence
-	// ResultCaptureConfig selects what CaptureResultPack records.
-	ResultCaptureConfig = experiment.CaptureConfig
-	// ResultFileFingerprint pins one input file of a files-source pack.
-	ResultFileFingerprint = resultpack.FileFingerprint
-)
-
-// ResultPackSchema and ResultPackVersion identify the result-pack document.
-const (
-	ResultPackSchema  = resultpack.Schema
-	ResultPackVersion = resultpack.Version
-)
-
-// Result-pack source values: how a pack's inputs were obtained, which
-// decides how `compare -verify` replays it.
-const (
-	ResultPackSourceCensus = resultpack.SourceCensus
-	ResultPackSourcePaper  = resultpack.SourcePaper
-	ResultPackSourceFiles  = resultpack.SourceFiles
-)
-
-// Result-pack constructors and helpers.
-var (
-	ReadResultPack         = resultpack.ReadFile
-	VerifyResultPack       = resultpack.VerifyFile
-	DiffResultPacks        = resultpack.Diff
-	WriteResultDivergences = resultpack.WriteDivergences
-	CaptureResultPack      = experiment.CaptureResults
-	ReplayResultPack       = experiment.ReplayPack
-)
-
-// WriteResultPack seals p (if needed) and writes it as canonical JSON to
-// path ("-" for stdout).
-func WriteResultPack(p *ResultPack, path string) error { return p.WriteFile(path) }
-
-// Trajectory-ledger observability (internal/telemetry/ledger): an
-// append-only, content-addressed history of sealed perf and result packs
-// with per-benchmark time series, rolling changepoint detection and a
-// drift/correctness gate that attributes environment changes instead of
-// failing on them. Maintained by cmd/anonstat; see README "Trajectory
-// ledger" and DESIGN.md "Trajectory ledger".
-type (
-	// TrajectoryLedger is an opened ledger directory.
-	TrajectoryLedger = ledger.Ledger
-	// LedgerEntry is one appended pack's index record.
-	LedgerEntry = ledger.Entry
-	// LedgerEnvelope is the rolling noise band shared by trend and gate.
-	LedgerEnvelope = ledger.Envelope
-	// LedgerTrend is the extracted per-benchmark time-series document.
-	LedgerTrend = ledger.Trend
-	// LedgerTrendOptions tunes trend extraction.
-	LedgerTrendOptions = ledger.TrendOptions
-	// LedgerGateOptions tunes the rolling drift gate.
-	LedgerGateOptions = ledger.GateOptions
-	// LedgerGateResult is the gate outcome: findings fail, attributions don't.
-	LedgerGateResult = ledger.GateResult
-	// LedgerFinding is one gate failure with a path-level diagnostic.
-	LedgerFinding = ledger.Finding
-	// LedgerAttribution is an environment-change note.
-	LedgerAttribution = ledger.Attribution
-)
-
-// Trajectory-ledger helpers.
-var (
-	OpenLedger         = ledger.Open
-	ExtractLedgerTrend = ledger.ExtractTrend
-	GateLedger         = ledger.Gate
-	Sparkline          = ledger.Sparkline
-	DiffPerfEnv        = perf.DiffEnv
 )
 
 // Telemetry constructors and helpers.

@@ -32,7 +32,7 @@ func benchSuite(ctx context.Context, errw io.Writer, selection, out string, n, k
 	if err != nil {
 		return err
 	}
-	if err := pack.WriteFile(out); err != nil {
+	if err := perf.WriteFile(out, pack); err != nil {
 		return fmt.Errorf("bench-out: %w", err)
 	}
 	if out != "-" {

@@ -8,12 +8,12 @@
 //	anonbench -run E4
 //	anonbench -run all -n 5000 -ks 2,5,10,25,50 -seed 7
 //	anonbench -enginestats -n 10000 -ks 5
-//	anonbench -bench-attack -n 10000 -ks 5 -bench-attack-out bench/attack.json
 //	anonbench -bench-suite=all -n 10000 -ks 5 -bench-out bench/full.json
 //
-// Exit codes follow the stable contract shared with benchdiff and compare
+// Exit codes follow the stable contract shared with anonstat and compare
 // (see README "Exit codes"): 0 ok, 1 failure, 2 verification failure
-// (e.g. an indexed attack vector diverging from its naive reference),
+// (e.g. an indexed attack vector diverging from its naive reference in the
+// attack suite's setup),
 // 6 invalid input (bad flags, unknown experiment or suite names).
 //
 // Observability (see README "Observability" and "Live observability"):
@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"microdata"
+	"microdata/internal/experiment"
 	"microdata/internal/telemetry/perf"
 )
 
@@ -54,9 +55,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "seed for the census draw and stochastic algorithms")
 		engStat = flag.Bool("enginestats", false, "run every algorithm once on the census draw (first k of -ks) and print the evaluation-engine counters")
 		workers = flag.Int("workers", 0, "worker goroutines for the parallel kernels (engine node evaluation, attack shards, morsel-driven group-by, typed-column reductions); 0 = GOMAXPROCS")
-
-		benchAtk    = flag.Bool("bench-attack", false, "time the record-linkage attack pipeline (naive vs indexed, serial vs parallel) on the census draw and write a JSON report")
-		benchAtkOut = flag.String("bench-attack-out", "BENCH_attack.json", "output path for the -bench-attack JSON report (\"-\" for stdout, \"\" to skip)")
 
 		benchSuiteSel  = flag.String("bench-suite", "", "run the named canonical benchmark suites (\"all\" or a comma list of attack,engine,groupby,groupby-parallel,ingest,typedcol) and write a sealed perf pack")
 		benchSuiteOut  = flag.String("bench-out", "-", "output path for the -bench-suite perf pack (\"-\" for stdout)")
@@ -80,7 +78,6 @@ func main() {
 
 	if err := realMain(options{
 		list: *list, run: *run, n: *n, ks: *ks, seed: *seed, engStat: *engStat,
-		benchAttack: *benchAtk, benchAttackOut: *benchAtkOut,
 		benchSuite: *benchSuiteSel, benchSuiteOut: *benchSuiteOut, benchSuiteReps: *benchSuiteReps,
 		verbose: *verbose, logFormat: *logFormat,
 		traceOut: *traceOut, metricsOut: *metricsOut,
@@ -100,8 +97,6 @@ type options struct {
 	ks                     string
 	seed                   int64
 	engStat                bool
-	benchAttack            bool
-	benchAttackOut         string
 	benchSuite             string
 	benchSuiteOut          string
 	benchSuiteReps         int
@@ -121,7 +116,7 @@ type options struct {
 // seals the per-algorithm measures, attack risks and report digests, and
 // the run report (schema v2) links the pack's manifest digest.
 func captureResults(ctx context.Context, rb *microdata.RunReportBuilder, opts microdata.ExperimentOptions, ids []string, out string) error {
-	pack, err := microdata.CaptureResultPack(ctx, microdata.ResultCaptureConfig{
+	pack, err := experiment.CaptureResults(ctx, experiment.CaptureConfig{
 		Opts:         opts,
 		Experiments:  ids,
 		Algorithms:   true,
@@ -131,7 +126,7 @@ func captureResults(ctx context.Context, rb *microdata.RunReportBuilder, opts mi
 	if err != nil {
 		return err
 	}
-	if err := microdata.WriteResultPack(pack, out); err != nil {
+	if err := perf.WriteFile(out, pack); err != nil {
 		return err
 	}
 	if out != "-" {
@@ -149,7 +144,7 @@ func realMain(o options) error {
 		return perf.Exit(perf.ExitInvalid, err)
 	}
 	opts := microdata.ExperimentOptions{CensusN: o.n, Ks: kVals, Seed: o.seed}
-	if o.resultOut != "" && (o.list || o.engStat || o.benchAttack || o.benchSuite != "") {
+	if o.resultOut != "" && (o.list || o.engStat || o.benchSuite != "") {
 		return perf.Invalidf("-result-out only applies to experiment runs (-run)")
 	}
 
@@ -236,8 +231,6 @@ func realMain(o options) error {
 		switch {
 		case o.benchSuite != "":
 			runErr = benchSuite(ctx, os.Stderr, o.benchSuite, o.benchSuiteOut, o.n, kVals[0], o.seed, o.benchSuiteReps)
-		case o.benchAttack:
-			runErr = benchAttack(ctx, os.Stdout, o.benchAttackOut, o.n, kVals[0], o.seed)
 		case o.engStat:
 			runErr = engineStats(ctx, os.Stdout, o.n, kVals[0], o.seed, col)
 		case o.list:
@@ -313,8 +306,6 @@ func mode(o options) string {
 	switch {
 	case o.benchSuite != "":
 		return "bench-suite:" + o.benchSuite
-	case o.benchAttack:
-		return "bench-attack"
 	case o.engStat:
 		return "enginestats"
 	case o.list:

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,6 +11,7 @@ import (
 
 	"microdata"
 	"microdata/internal/telemetry/perf"
+	"microdata/internal/telemetry/resultpack"
 )
 
 func TestParseKs(t *testing.T) {
@@ -27,57 +27,6 @@ func TestParseKs(t *testing.T) {
 		if _, err := parseKs(bad); err == nil {
 			t.Errorf("parseKs(%q) should fail", bad)
 		}
-	}
-}
-
-// TestBenchAttackReport runs the -bench-attack mode on a small draw and
-// checks the JSON report: both prosecutor releases timed, indexed vectors
-// verified against naive (a divergence would have errored), and all
-// timings/speedups populated.
-func TestBenchAttackReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_attack.json")
-	var buf strings.Builder
-	if err := benchAttack(context.Background(), &buf, out, 300, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep attackBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, data)
-	}
-	if rep.N != 300 || rep.K != 3 || rep.Seed != 1 || rep.GOMAXPROCS < 1 {
-		t.Errorf("report header = %+v", rep)
-	}
-	if len(rep.Prosecutor) != 2 || rep.Prosecutor[0].Algorithm != "datafly" || rep.Prosecutor[1].Algorithm != "mondrian" {
-		t.Fatalf("prosecutor rows = %+v", rep.Prosecutor)
-	}
-	for _, row := range rep.Prosecutor {
-		if row.Regions < 1 {
-			t.Errorf("%s: regions = %d", row.Algorithm, row.Regions)
-		}
-		if row.NaiveMS <= 0 || row.IndexedSerialMS <= 0 || row.IndexedParallelMS <= 0 {
-			t.Errorf("%s: non-positive timing: %+v", row.Algorithm, row)
-		}
-		if row.SpeedupSerial <= 0 || row.SpeedupParallel <= 0 {
-			t.Errorf("%s: non-positive speedup: %+v", row.Algorithm, row)
-		}
-	}
-	j := rep.Journalist
-	if j.Algorithm != "mondrian" || j.N != 300 || j.Population != 600 {
-		t.Errorf("journalist row = %+v", j)
-	}
-	if j.NaiveMS <= 0 || j.IndexedMS <= 0 || j.Speedup <= 0 {
-		t.Errorf("journalist timings = %+v", j)
-	}
-	if !strings.Contains(buf.String(), "attack benchmark (census N=300, k=3, seed=1") {
-		t.Errorf("summary output = %q", buf.String())
-	}
-	// An empty output path skips the JSON file entirely.
-	if err := benchAttack(context.Background(), io.Discard, "", 120, 3, 1); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -159,11 +108,11 @@ func TestResultOutSealsPackAndLinksReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := microdata.ReadResultPack(packPath)
+	p, err := resultpack.ReadFile(packPath)
 	if err != nil {
 		t.Fatalf("sealed pack fails verification: %v", err)
 	}
-	if p.Source != microdata.ResultPackSourceCensus || p.Env.N != 150 || p.Env.Seed != 1 {
+	if p.Source != resultpack.SourceCensus || p.Env.N != 150 || p.Env.Seed != 1 {
 		t.Errorf("pack env = %+v", p.Env)
 	}
 	if len(p.Tables) != 1 || p.Tables[0].ID != "E1" {

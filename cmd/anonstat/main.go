@@ -1,26 +1,33 @@
-// Command anonstat maintains and inspects a trajectory ledger: the
-// append-only, content-addressed history of sealed perf packs and result
-// packs that turns single-run artifacts (cmd/anonbench -bench-out,
-// -result-out) into a longitudinal view of the reproduction's performance
-// and correctness. See internal/telemetry/ledger and DESIGN.md
-// "Trajectory ledger".
+// Command anonstat is the reproduction's one perf CLI. It compares two
+// perf packs under the noise envelope (diff), and it maintains and
+// inspects a trajectory ledger: the append-only, content-addressed history
+// of sealed perf packs and result packs that turns single-run artifacts
+// (cmd/anonbench -bench-out, -result-out) into a longitudinal view of the
+// reproduction's performance and correctness. See
+// internal/telemetry/perf, internal/telemetry/ledger and DESIGN.md "Perf
+// packs" and "Trajectory ledger".
 //
+//	anonstat diff   [flags] BASE CUR           two-pack drift gate
+//	anonstat diff   -baseline-ledger DIR CUR   baseline picked from a ledger
+//	anonstat diff   -verify-only PACK          manifest check alone
 //	anonstat append -ledger DIR pack.json...   verify + record packs
 //	anonstat ls     -ledger DIR                list ledger entries
 //	anonstat show   -ledger DIR DIGEST         one entry in detail
 //	anonstat trend  -ledger DIR [-json]        per-benchmark time series
 //	anonstat gate   -ledger DIR [-json]        rolling drift/correctness gate
 //
-// Exit codes follow the stable contract shared with anonbench, compare and
-// benchdiff:
+// Exit codes follow the stable contract shared with anonbench and compare:
 //
-//	0  ok (for gate: no drift findings; env-only changes are attributed,
-//	   not failed)
+//	0  ok (for diff and gate: no drift findings; improvements, ungated
+//	   health changes and env-only changes are reported, not failed)
 //	1  internal failure
-//	2  an artifact failed integrity verification (tampered pack or index)
-//	5  the gate found drift: a gated perf metric broke out of its rolling
-//	   same-environment envelope, or a result-pack claim changed under an
-//	   unchanged environment fingerprint
+//	2  an artifact failed integrity verification (a pack or index edited
+//	   after sealing, or unsealed)
+//	5  drift: for diff, a gated metric exceeded the noise envelope or a
+//	   baseline benchmark is missing from the current pack; for gate, a
+//	   gated perf metric broke out of its rolling same-environment
+//	   envelope, or a result-pack claim changed under an unchanged
+//	   environment fingerprint
 //	6  invalid input (unknown command, bad flags, non-pack files)
 package main
 
@@ -47,6 +54,9 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: anonstat <command> [flags] [args]
 
 commands:
+  diff   [flags] BASE CUR          compare two perf packs; exit 5 on drift
+  diff   -baseline-ledger DIR CUR  baseline = newest env-matching ledger entry
+  diff   -verify-only PACK         verify one pack's manifest
   append -ledger DIR pack.json...  verify packs and append them to the ledger
   ls     -ledger DIR               list ledger entries (digest, kind, env, age)
   show   -ledger DIR DIGEST        show one entry (digest prefix accepted)
@@ -63,6 +73,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
+	case "diff":
+		return cmdDiff(rest, stdout, stderr)
 	case "append":
 		return cmdAppend(rest, stdout, stderr)
 	case "ls":
@@ -223,8 +235,7 @@ func cmdTrend(args []string, stdout, stderr io.Writer) error {
 		bench   = fs.String("bench", "", "keep only benchmarks containing this substring")
 		metrics = fs.String("metrics", "", "comma list of metric series to extract (default wall_ns,allocs,heap_bytes)")
 		sustain = fs.Int("sustain", 2, "consecutive excursions required for a changepoint")
-		rel     = fs.Float64("rel-threshold", 0.25, "relative envelope (fraction of the rolling median)")
-		madF    = fs.Float64("mad-factor", 4, "rolling-MAD multiplier widening the envelope")
+		rel     = fs.Float64("rel-threshold", perf.DefaultRelThreshold, "relative envelope (fraction of the rolling median)")
 		last    = fs.Int("last", 0, "use only the newest N perf entries (0 = all)")
 		jsonOut = fs.Bool("json", false, "emit the trend as byte-stable canonical JSON on stdout")
 	)
@@ -236,7 +247,7 @@ func cmdTrend(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	opts := ledger.TrendOptions{
-		Envelope:  ledger.Envelope{RelThreshold: *rel, MADFactor: *madF},
+		Envelope:  perf.Envelope{RelThreshold: *rel},
 		Benchmark: *bench, Sustain: *sustain, Last: *last,
 		Metrics: splitList(*metrics),
 	}
@@ -263,8 +274,7 @@ func cmdGate(args []string, stdout, stderr io.Writer) error {
 		gated      = fs.String("gate", "", "comma list of metrics whose drift fails the gate (default wall_ns,allocs)")
 		sustain    = fs.Int("sustain", 1, "newest same-env entries that must all exceed the envelope to fail")
 		minHistory = fs.Int("min-history", 2, "same-env history entries required before gating")
-		rel        = fs.Float64("rel-threshold", 0.25, "relative envelope (fraction of the rolling median)")
-		madF       = fs.Float64("mad-factor", 4, "rolling-MAD multiplier widening the envelope")
+		rel        = fs.Float64("rel-threshold", perf.DefaultRelThreshold, "relative envelope (fraction of the rolling median)")
 		jsonOut    = fs.Bool("json", false, "emit the gate result as canonical JSON on stdout")
 	)
 	if err := parse(fs, args); err != nil {
@@ -275,7 +285,7 @@ func cmdGate(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	opts := ledger.GateOptions{
-		Envelope: ledger.Envelope{RelThreshold: *rel, MADFactor: *madF},
+		Envelope: perf.Envelope{RelThreshold: *rel},
 		Gated:    splitList(*gated),
 		Sustain:  *sustain, MinHistory: *minHistory,
 	}

@@ -40,8 +40,11 @@ func writePack(t *testing.T, dir string, created int64, env perf.Env, wall float
 			},
 		}},
 	}
+	if err := p.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(dir, fmt.Sprintf("pack-%d.json", created))
-	if err := p.WriteFile(path); err != nil {
+	if err := perf.WriteFile(path, p); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -13,7 +13,7 @@
 //	compare -paper -result-out paper.json  # seal the verdicts
 //	compare -verify results/census-1k.json # replay + diff a sealed pack
 //
-// Exit codes follow the stable contract shared with anonbench and benchdiff
+// Exit codes follow the stable contract shared with anonbench and anonstat
 // (see README "Exit codes"): 0 ok, 1 failure, 2 verification failure (a
 // pack or input file edited after sealing), 5 divergence (replayed results
 // differ from the recorded ones), 6 invalid input (bad flags, unreadable
@@ -32,6 +32,7 @@ import (
 
 	"microdata"
 	"microdata/internal/telemetry/perf"
+	"microdata/internal/telemetry/resultpack"
 )
 
 func main() {
@@ -80,7 +81,7 @@ func main() {
 }
 
 func run(w io.Writer, origPath, aPath, bPath string, paper bool, resultOut string) error {
-	var pack *microdata.ResultPack
+	var pack *resultpack.Pack
 	var err error
 	if paper {
 		pack, err = comparePaper(w)
@@ -94,7 +95,10 @@ func run(w io.Writer, origPath, aPath, bPath string, paper bool, resultOut strin
 		return err
 	}
 	if resultOut != "" {
-		if err := microdata.WriteResultPack(pack, resultOut); err != nil {
+		if err := pack.Seal(); err != nil {
+			return err
+		}
+		if err := perf.WriteFile(resultOut, pack); err != nil {
 			return err
 		}
 		if resultOut != "-" {
@@ -106,7 +110,7 @@ func run(w io.Writer, origPath, aPath, bPath string, paper bool, resultOut strin
 
 // comparePaper runs the paper's two published comparisons and returns them
 // as an unsealed paper-source pack.
-func comparePaper(w io.Writer) (*microdata.ResultPack, error) {
+func comparePaper(w io.Writer) (*resultpack.Pack, error) {
 	orig := microdata.PaperT1()
 	c1, err := comparePair(w, "T_3a", "T_3b", orig, microdata.PaperT3a(), microdata.PaperT3b(), nil)
 	if err != nil {
@@ -116,13 +120,13 @@ func comparePaper(w io.Writer) (*microdata.ResultPack, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPack(microdata.ResultPackSourcePaper, []microdata.ResultComparisonRow{c1, c2}, nil), nil
+	return newPack(resultpack.SourcePaper, []resultpack.ComparisonResult{c1, c2}, nil), nil
 }
 
 // compareFiles compares two anonymization files against the original and
 // returns a files-source pack whose fingerprints pin the three inputs.
-func compareFiles(w io.Writer, origPath, aPath, bPath string) (*microdata.ResultPack, error) {
-	var files []microdata.ResultFileFingerprint
+func compareFiles(w io.Writer, origPath, aPath, bPath string) (*resultpack.Pack, error) {
+	var files []resultpack.FileFingerprint
 	tabs := make(map[string]*microdata.Table, 3)
 	for _, in := range []struct{ role, path string }{{"orig", origPath}, {"a", aPath}, {"b", bPath}} {
 		tab, sum, err := readCensus(in.path)
@@ -130,23 +134,23 @@ func compareFiles(w io.Writer, origPath, aPath, bPath string) (*microdata.Result
 			return nil, err
 		}
 		tabs[in.role] = tab
-		files = append(files, microdata.ResultFileFingerprint{Role: in.role, Path: in.path, SHA256: sum})
+		files = append(files, resultpack.FileFingerprint{Role: in.role, Path: in.path, SHA256: sum})
 	}
 	c, err := comparePair(w, aPath, bPath, tabs["orig"], tabs["a"], tabs["b"], microdata.CensusTaxonomies())
 	if err != nil {
 		return nil, err
 	}
-	p := newPack(microdata.ResultPackSourceFiles, []microdata.ResultComparisonRow{c}, files)
-	if p.Env.DatasetHash, err = microdata.TableHash(tabs["orig"]); err != nil {
+	p := newPack(resultpack.SourceFiles, []resultpack.ComparisonResult{c}, files)
+	if p.Env.DatasetHash, err = tabs["orig"].Hash(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func newPack(source string, comparisons []microdata.ResultComparisonRow, files []microdata.ResultFileFingerprint) *microdata.ResultPack {
-	return &microdata.ResultPack{
-		Schema:        microdata.ResultPackSchema,
-		Version:       microdata.ResultPackVersion,
+func newPack(source string, comparisons []resultpack.ComparisonResult, files []resultpack.FileFingerprint) *resultpack.Pack {
+	return &resultpack.Pack{
+		Schema:        resultpack.Schema,
+		Version:       resultpack.Version,
 		Source:        source,
 		CreatedUnixMS: time.Now().UnixMilli(),
 		Env:           perf.CaptureEnv(),
@@ -177,8 +181,8 @@ func hashHex(raw []byte) string {
 // comparePair writes the human comparison report for one pair and returns
 // the same verdicts as a result-pack row (side-neutral "left"/"right"/
 // "tie" words, so the row is independent of the display names).
-func comparePair(w io.Writer, nameA, nameB string, orig, ta, tb *microdata.Table, taxonomies map[string]*microdata.Taxonomy) (microdata.ResultComparisonRow, error) {
-	row := microdata.ResultComparisonRow{Left: nameA, Right: nameB, Privacy: map[string]string{}}
+func comparePair(w io.Writer, nameA, nameB string, orig, ta, tb *microdata.Table, taxonomies map[string]*microdata.Taxonomy) (resultpack.ComparisonResult, error) {
+	row := resultpack.ComparisonResult{Left: nameA, Right: nameB, Privacy: map[string]string{}}
 	if ta.Len() != orig.Len() || tb.Len() != orig.Len() {
 		return row, perf.Invalidf("tables must have the original's size (suppressed tuples stay as '*')")
 	}

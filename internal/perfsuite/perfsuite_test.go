@@ -100,7 +100,7 @@ func TestSuitesRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := perf.VerifyRaw(raw); err != nil {
+	if err := perf.Verify(raw); err != nil {
 		t.Errorf("suite pack failed verification: %v", err)
 	}
 	// A pack compared against itself never drifts.

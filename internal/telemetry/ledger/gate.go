@@ -55,7 +55,7 @@ type Attribution struct {
 
 // GateOptions tunes the rolling gate.
 type GateOptions struct {
-	Envelope
+	perf.Envelope
 	// Gated selects the perf metrics whose drift fails the gate (default
 	// perf.DefaultGated: wall_ns, allocs).
 	Gated []string
@@ -69,7 +69,6 @@ type GateOptions struct {
 }
 
 func (o GateOptions) withDefaults() GateOptions {
-	o.Envelope = o.Envelope.withDefaults()
 	if o.Gated == nil {
 		o.Gated = perf.DefaultGated
 	}
@@ -216,7 +215,7 @@ func gatePerf(l *Ledger, opts GateOptions, res *GateResult) error {
 				return err
 			}
 			res.Checked++
-			base, width := opts.width(metric, hist)
+			base, width := band(opts.Envelope, metric, hist)
 			excursion := len(tail) == opts.Sustain
 			for _, v := range tail {
 				if !(v > base+width) {

@@ -4,7 +4,8 @@
 // (internal/telemetry/resultpack) under one directory:
 //
 //	<dir>/index.json       canonical-JSON index, sealed with a SHA-256
-//	                       self-manifest like the packs themselves
+//	                       self-manifest by the same envelope codec
+//	                       (perf.Seal, perf.Decode) as the packs themselves
 //	<dir>/packs/<digest>.json  the verbatim sealed pack bytes, one file
 //	                       per pack, named by its manifest digest
 //
@@ -17,14 +18,17 @@
 //
 // On top of the store, trend.go extracts per-benchmark time series with
 // rolling median/MAD statistics and changepoint detection, and gate.go
-// generalizes perf.Compare's single-pair noise envelope to the rolling
+// applies perf.Compare's noise envelope (perf.Envelope) to the rolling
 // history, separating genuine drift from environment changes
 // (go version, CPU model, dataset draw) via perf.Env.Fingerprint.
 package ledger
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -103,50 +107,21 @@ type Ledger struct {
 // empty ledger (Append creates both); a present index must parse, match
 // the schema/version and verify its self-manifest.
 func Open(dir string) (*Ledger, error) {
-	l := &Ledger{Dir: dir, Index: &Index{Schema: IndexSchema, Version: IndexVersion}}
-	raw, err := os.ReadFile(filepath.Join(dir, indexFile))
-	if os.IsNotExist(err) {
-		return l, nil
-	}
+	idx, err := readIndex(dir)
 	if err != nil {
-		return nil, perf.Exit(perf.ExitInvalid, fmt.Errorf("ledger: %w", err))
-	}
-	idx, err := readIndex(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Join(dir, indexFile), err)
-	}
-	l.Index = idx
-	return l, nil
-}
-
-func readIndex(raw []byte) (*Index, error) {
-	var idx Index
-	if err := json.Unmarshal(raw, &idx); err != nil {
-		return nil, perf.Exit(perf.ExitInvalid, fmt.Errorf("ledger: parse index: %w", err))
-	}
-	if idx.Schema != IndexSchema {
-		return nil, perf.Invalidf("ledger: not a ledger index (schema %q, want %q)", idx.Schema, IndexSchema)
-	}
-	if idx.Version != IndexVersion {
-		return nil, perf.Invalidf("ledger: unsupported index version %d (reader supports %d)", idx.Version, IndexVersion)
-	}
-	// The index seals exactly like the packs, so the pack verifier applies.
-	if err := perf.VerifyRaw(raw); err != nil {
 		return nil, err
 	}
-	return &idx, nil
+	return &Ledger{Dir: dir, Index: idx}, nil
 }
 
-// seal installs the index self-manifest over the manifest-less canonical
-// encoding.
-func (idx *Index) seal() error {
-	idx.Manifest = nil
-	canon, err := perf.CanonicalMarshal(idx)
-	if err != nil {
-		return fmt.Errorf("ledger: seal index: %w", err)
+// readIndex decodes dir's index with the shared envelope codec; a missing
+// index is an empty one.
+func readIndex(dir string) (*Index, error) {
+	idx, err := perf.DecodeFile[Index](filepath.Join(dir, indexFile), IndexSchema, IndexVersion)
+	if errors.Is(err, fs.ErrNotExist) {
+		return &Index{Schema: IndexSchema, Version: IndexVersion}, nil
 	}
-	idx.Manifest = &perf.Manifest{Algorithm: "sha256", Digest: resultpack.HashBytes(canon)}
-	return nil
+	return idx, err
 }
 
 // PackPath returns the content-addressed path of a pack by digest.
@@ -205,7 +180,9 @@ func entryFor(raw []byte) (*Entry, error) {
 	var head struct {
 		Schema string `json:"schema"`
 	}
-	if err := json.Unmarshal(raw, &head); err != nil {
+	// Only the first value is the header: trailing bytes are the
+	// verifier's to reject (as tampering), not a parse error.
+	if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&head); err != nil {
 		return nil, perf.Exit(perf.ExitInvalid, fmt.Errorf("ledger: parse pack: %w", err))
 	}
 	switch head.Schema {
@@ -258,14 +235,9 @@ func (l *Ledger) Append(raw []byte) (entry *Entry, added bool, err error) {
 
 	// Re-read the index under the lock: another appender may have moved it
 	// since Open.
-	idx := l.Index
-	if onDisk, err := os.ReadFile(filepath.Join(l.Dir, indexFile)); err == nil {
-		idx, err = readIndex(onDisk)
-		if err != nil {
-			return nil, false, err
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, false, fmt.Errorf("ledger: %w", err)
+	idx, err := readIndex(l.Dir)
+	if err != nil {
+		return nil, false, err
 	}
 	for _, e := range idx.Entries {
 		if e.Digest == entry.Digest {
@@ -284,14 +256,14 @@ func (l *Ledger) Append(raw []byte) (entry *Entry, added bool, err error) {
 		}
 		return a.Digest < b.Digest
 	})
-	if err := idx.seal(); err != nil {
+	if err := perf.Seal(idx, &idx.Manifest); err != nil {
 		return nil, false, err
 	}
-	canon, err := perf.CanonicalMarshal(idx)
-	if err != nil {
-		return nil, false, fmt.Errorf("ledger: %w", err)
+	var buf bytes.Buffer
+	if err := perf.Write(&buf, idx); err != nil {
+		return nil, false, err
 	}
-	if err := writeFileAtomic(filepath.Join(l.Dir, indexFile), append(canon, '\n')); err != nil {
+	if err := writeFileAtomic(filepath.Join(l.Dir, indexFile), buf.Bytes()); err != nil {
 		return nil, false, fmt.Errorf("ledger: %w", err)
 	}
 	l.Index = idx

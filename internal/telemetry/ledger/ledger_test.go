@@ -36,11 +36,7 @@ func perfPackBytes(t *testing.T, created int64, env perf.Env, wall float64) []by
 			},
 		}},
 	}
-	var buf bytes.Buffer
-	if err := p.WriteCanonical(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return sealBytes(t, p)
 }
 
 // resultPackBytes seals a synthetic result pack with one algorithm row.
@@ -54,8 +50,17 @@ func resultPackBytes(t *testing.T, created int64, env perf.Env, lm float64) []by
 			Measures: map[string]resultpack.Float{"lm": resultpack.Float(lm)},
 		}},
 	}
+	return sealBytes(t, p)
+}
+
+// sealBytes seals a pack and returns its on-disk bytes.
+func sealBytes(t *testing.T, pack interface{ Seal() error }) []byte {
+	t.Helper()
+	if err := pack.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := p.WriteCanonical(&buf); err != nil {
+	if err := perf.Write(&buf, pack); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -23,47 +23,12 @@ const (
 // longitudinal comparisons care about.
 var DefaultTrendMetrics = []string{perf.MetricWallNS, perf.MetricAllocs, perf.MetricHeapBytes}
 
-// Envelope parameterizes the rolling noise band shared by trend
-// changepoint detection and the gate: a value is an excursion when it
-// exceeds the history median by more than
-// max(RelThreshold·|median|, MADFactor·MAD(history), AbsFloor[metric]).
-// This generalizes perf.CompareOptions' two-pack envelope to arbitrary
-// history windows.
-type Envelope struct {
-	// RelThreshold is the relative band (default 0.25).
-	RelThreshold float64
-	// MADFactor scales the history's across-entry MAD (default 4).
-	MADFactor float64
-	// AbsFloor maps metric name → absolute band floor (defaults: wall_ns
-	// 2e6 ns, allocs 256 — perf.CompareOptions' floors).
-	AbsFloor map[string]float64
-}
-
-func (e Envelope) withDefaults() Envelope {
-	if e.RelThreshold <= 0 {
-		e.RelThreshold = 0.25
-	}
-	if e.MADFactor <= 0 {
-		e.MADFactor = 4
-	}
-	if e.AbsFloor == nil {
-		e.AbsFloor = map[string]float64{perf.MetricWallNS: 2e6, perf.MetricAllocs: 256}
-	}
-	return e
-}
-
-// width returns the history median and the envelope half-width for one
-// metric over the given history values.
-func (e Envelope) width(metric string, history []float64) (base, width float64) {
+// band returns the history median and the perf.Envelope half-width
+// around it — the rolling noise band trend changepoints and the gate test
+// against.
+func band(e perf.Envelope, metric string, history []float64) (base, width float64) {
 	base = perf.Median(history)
-	width = e.RelThreshold * math.Abs(base)
-	if mad := e.MADFactor * perf.MAD(history); !math.IsNaN(mad) && mad > width {
-		width = mad
-	}
-	if floor := e.AbsFloor[metric]; floor > width {
-		width = floor
-	}
-	return base, width
+	return base, e.Width(metric, base, perf.MAD(history))
 }
 
 // Point is one ledger entry's contribution to a series: the pack's
@@ -125,7 +90,7 @@ type Trend struct {
 
 // TrendOptions tunes extraction.
 type TrendOptions struct {
-	Envelope
+	perf.Envelope
 	// Metrics selects the metric series per benchmark (default
 	// DefaultTrendMetrics).
 	Metrics []string
@@ -139,7 +104,6 @@ type TrendOptions struct {
 }
 
 func (o TrendOptions) withDefaults() TrendOptions {
-	o.Envelope = o.Envelope.withDefaults()
 	if o.Metrics == nil {
 		o.Metrics = DefaultTrendMetrics
 	}
@@ -240,7 +204,7 @@ func detectChangepoint(sr *Series, opts TrendOptions) *Changepoint {
 		}
 		m := len(values)
 		for i := 2; i <= m-opts.Sustain; i++ {
-			base, width := opts.width(sr.Metric, values[:i])
+			base, width := band(opts.Envelope, sr.Metric, values[:i])
 			sustained := true
 			for j := i; j < m; j++ {
 				if !(values[j] > base+width) {

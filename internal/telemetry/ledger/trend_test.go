@@ -195,18 +195,18 @@ func TestTrendWriteTable(t *testing.T) {
 }
 
 func TestEnvelopeWidth(t *testing.T) {
-	e := Envelope{}.withDefaults()
+	var e perf.Envelope
 	// Relative band dominates.
-	base, width := e.width(perf.MetricWallNS, []float64{100e6, 100e6, 100e6})
+	base, width := band(e, perf.MetricWallNS, []float64{100e6, 100e6, 100e6})
 	if base != 100e6 || width != 25e6 {
 		t.Errorf("width = (%g, %g), want (1e8, 2.5e7)", base, width)
 	}
 	// Absolute floor dominates for small values.
-	if _, width := e.width(perf.MetricWallNS, []float64{100, 100}); width != 2e6 {
+	if _, width := band(e, perf.MetricWallNS, []float64{100, 100}); width != 2e6 {
 		t.Errorf("floored width = %g, want 2e6", width)
 	}
 	// MAD widens a noisy history beyond the relative band.
-	_, width = e.width(perf.MetricAllocs, []float64{1000, 2000, 3000})
+	_, width = band(e, perf.MetricAllocs, []float64{1000, 2000, 3000})
 	if width <= 0.25*2000 {
 		t.Errorf("noisy width = %g, want > rel band %g", width, 0.25*2000)
 	}

@@ -1,15 +1,27 @@
-// Package perf turns benchmark runs into verifiable artifacts. A run of a
-// named suite produces a "perf pack": a versioned JSON document (schema
-// "microdata/perf-pack") holding per-benchmark metric sample series (wall
-// time, allocations, sampled runtime/metrics health readings) and an
-// environment fingerprint, serialized as canonical JSON (JCS-style sorted
-// keys, no insignificant whitespace) and sealed with a SHA-256
-// self-manifest. Packs from two runs are compared with a median/MAD
-// statistical comparator that classifies every metric as ok, improved or
-// drifted — the foundation of the CI drift gate (cmd/benchdiff).
+// Package perf owns the reproduction's sealed artifacts and its drift
+// statistics.
+//
+// A run of a named suite produces a "perf pack": a versioned JSON document
+// (schema "microdata/perf-pack") holding per-benchmark metric sample
+// series (wall time, allocations, sampled runtime/metrics health readings)
+// and an environment fingerprint.
+//
+// Every sealed artifact — perf packs, result packs
+// (internal/telemetry/resultpack) and the trajectory-ledger index
+// (internal/telemetry/ledger) — goes through the one envelope codec in
+// codec.go: canonical JSON (JCS-style sorted keys, no insignificant
+// whitespace) sealed with a SHA-256 self-manifest (Seal), written with a
+// trailing newline (Write, WriteFile), verified (Verify) and read back with
+// a schema/version check (Decode, DecodeFile). A document type supplies
+// only its canonical sort order.
+//
+// Packs from two runs are compared with a median/MAD comparator that
+// classifies every metric as ok, improved or drifted against one noise
+// envelope (Envelope.Width), the same band the ledger's trend and gate
+// apply to a rolling history. `anonstat diff` is the CLI over it.
 //
 // The package also defines the stable CLI exit-code contract shared by
-// anonbench, compare and benchdiff (see ExitOK and friends), patterned on
+// anonbench, compare and anonstat (see ExitOK and friends), patterned on
 // gait's PackSpec v1 contract: distinct codes for verification failure,
 // regression drift and invalid input so scripts can branch on the outcome
 // without parsing output.
@@ -39,8 +51,7 @@ func Canonicalize(raw []byte) ([]byte, error) {
 	if err := dec.Decode(&v); err != nil {
 		return nil, fmt.Errorf("perf: canonicalize: %w", err)
 	}
-	// Reject trailing garbage after the document.
-	if dec.More() {
+	if !onlyWhitespace(raw[dec.InputOffset():]) {
 		return nil, fmt.Errorf("perf: canonicalize: trailing data after JSON document")
 	}
 	var buf bytes.Buffer

@@ -30,40 +30,62 @@ const (
 // context.
 var DefaultGated = []string{MetricWallNS, MetricAllocs}
 
-// CompareOptions tunes the significance test. A gated metric drifts when
-// the current median exceeds the baseline median by more than the noise
-// envelope max(RelThreshold·baseline, MADFactor·MAD(baseline), AbsFloor);
-// it improves when it undercuts the baseline by the same margin.
-type CompareOptions struct {
-	// RelThreshold is the relative significance threshold (default 0.25:
-	// ±25% of the baseline median is noise).
+// MADFactor scales a median absolute deviation into the noise envelope,
+// so noisy benchmarks get wider bands.
+const MADFactor = 4
+
+// DefaultRelThreshold is the relative band used when Envelope.RelThreshold
+// is unset: ±25% of the median is noise.
+const DefaultRelThreshold = 0.25
+
+// Envelope is the one noise band every drift decision uses: perf.Compare
+// applies it to the baseline pack's median and MAD, the ledger's trend and
+// gate to a rolling history's. A value is significant when it departs
+// from the median by more than Width.
+type Envelope struct {
+	// RelThreshold is the relative band (default DefaultRelThreshold).
 	RelThreshold float64
-	// MADFactor scales the baseline's median absolute deviation into the
-	// envelope (default 4) so noisy benchmarks get wider bands.
-	MADFactor float64
-	// AbsFloor maps metric name → absolute envelope floor, shielding
-	// microbenchmarks whose run-to-run jitter is large relative to tiny
-	// medians. Defaults: wall_ns 2e6 (2 ms), allocs 256.
-	AbsFloor map[string]float64
+}
+
+// Width returns the envelope half-width around median:
+// max(RelThreshold·|median|, MADFactor·mad, floor), where the absolute
+// floor (wall_ns 2 ms, allocs 256, 0 otherwise) shields microbenchmarks
+// whose run-to-run jitter is large relative to tiny medians. A NaN mad
+// contributes nothing; a NaN median yields NaN.
+func (e Envelope) Width(metric string, median, mad float64) float64 {
+	rel := e.RelThreshold
+	if rel <= 0 {
+		rel = DefaultRelThreshold
+	}
+	width := rel * math.Abs(median)
+	if m := MADFactor * mad; m > width {
+		width = m
+	}
+	if floor := absFloor(metric); floor > width {
+		width = floor
+	}
+	return width
+}
+
+func absFloor(metric string) float64 {
+	switch metric {
+	case MetricWallNS:
+		return 2e6
+	case MetricAllocs:
+		return 256
+	}
+	return 0
+}
+
+// CompareOptions tunes the significance test. A gated metric drifts when
+// the current median exceeds the baseline median by more than the
+// envelope's Width over the baseline median and MAD; it improves when it
+// undercuts the baseline by the same margin.
+type CompareOptions struct {
+	Envelope
 	// Gated selects the metrics whose drift fails the gate (default
 	// DefaultGated); everything else reports as info.
 	Gated []string
-}
-
-func (o CompareOptions) withDefaults() CompareOptions {
-	if o.RelThreshold <= 0 {
-		o.RelThreshold = 0.25
-	}
-	if o.MADFactor <= 0 {
-		o.MADFactor = 4
-	}
-	if o.AbsFloor == nil {
-		o.AbsFloor = map[string]float64{MetricWallNS: 2e6, MetricAllocs: 256}
-	}
-	if o.Gated == nil {
-		o.Gated = DefaultGated
-	}
-	return o
 }
 
 // MetricDiff is one (benchmark, metric) comparison row.
@@ -105,7 +127,9 @@ func Compare(base, cur *Pack, opts CompareOptions) (*Diff, error) {
 	if base == nil || cur == nil {
 		return nil, Invalidf("perf: compare: nil pack")
 	}
-	opts = opts.withDefaults()
+	if opts.Gated == nil {
+		opts.Gated = DefaultGated
+	}
 	d := &Diff{BaseSuite: base.Suite, CurSuite: cur.Suite, EnvChanges: DiffEnv(base.Env, cur.Env)}
 	gated := map[string]bool{}
 	for _, m := range opts.Gated {
@@ -131,7 +155,7 @@ func Compare(base, cur *Pack, opts CompareOptions) (*Diff, error) {
 			if !gated[metric] {
 				row.Verdict = VerdictInfo
 			} else {
-				row.Verdict = classify(bs, cs, metric, opts)
+				row.Verdict = classify(bs, cs, metric, opts.Envelope)
 				switch row.Verdict {
 				case VerdictDrifted, VerdictInvalid:
 					d.Drifted++
@@ -146,22 +170,16 @@ func Compare(base, cur *Pack, opts CompareOptions) (*Diff, error) {
 }
 
 // classify applies the noise-envelope test to one gated metric.
-func classify(base, cur Series, metric string, opts CompareOptions) Verdict {
+func classify(base, cur Series, metric string, env Envelope) Verdict {
 	if math.IsNaN(base.Median) || math.IsNaN(cur.Median) {
 		return VerdictInvalid
 	}
-	envelope := opts.RelThreshold * math.Abs(base.Median)
-	if mad := opts.MADFactor * base.MAD; !math.IsNaN(mad) && mad > envelope {
-		envelope = mad
-	}
-	if floor := opts.AbsFloor[metric]; floor > envelope {
-		envelope = floor
-	}
+	width := env.Width(metric, base.Median, base.MAD)
 	delta := cur.Median - base.Median
 	switch {
-	case delta > envelope:
+	case delta > width:
 		return VerdictDrifted
-	case delta < -envelope:
+	case delta < -width:
 		return VerdictImproved
 	default:
 		return VerdictOK

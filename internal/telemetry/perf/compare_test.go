@@ -102,13 +102,38 @@ func TestCompareAbsFloorShieldsMicrobenchmarks(t *testing.T) {
 	if got := verdictOf(t, d, "s/b", MetricWallNS); got != VerdictOK {
 		t.Errorf("verdict = %s, want ok (abs floor)", got)
 	}
-	// Without the floor the same shift drifts.
-	d, err = Compare(base, cur, CompareOptions{AbsFloor: map[string]float64{}})
-	if err != nil {
-		t.Fatal(err)
+	// The floor is what holds the band open: relative and MAD terms alone
+	// (a metric without a floor) give 50 µs.
+	var e Envelope
+	if w := e.Width(MetricWallNS, 200e3, 10e3); w != 2e6 {
+		t.Errorf("wall_ns width = %g, want the 2e6 floor", w)
 	}
-	if got := verdictOf(t, d, "s/b", MetricWallNS); got != VerdictDrifted {
-		t.Errorf("verdict without floor = %s, want drifted", got)
+	if w := e.Width(MetricHeapBytes, 200e3, 10e3); w != 50e3 {
+		t.Errorf("unfloored width = %g, want 5e4", w)
+	}
+}
+
+func TestEnvelopeWidth(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		env         Envelope
+		metric      string
+		median, mad float64
+		want        float64
+	}{
+		{"relative band", Envelope{}, MetricWallNS, 100e6, 0, 25e6},
+		{"custom relative band", Envelope{RelThreshold: 4}, MetricWallNS, 100e6, 0, 400e6},
+		{"MAD widens", Envelope{}, MetricWallNS, 100e6, 10e6, 40e6},
+		{"NaN MAD ignored", Envelope{}, MetricWallNS, 100e6, math.NaN(), 25e6},
+		{"allocs floor", Envelope{}, MetricAllocs, 100, 0, 256},
+		{"negative median", Envelope{}, MetricHeapBytes, -8e6, 0, 2e6},
+	} {
+		if got := tc.env.Width(tc.metric, tc.median, tc.mad); got != tc.want {
+			t.Errorf("%s: width = %g, want %g", tc.name, got, tc.want)
+		}
+	}
+	if w := (Envelope{}).Width(MetricWallNS, math.NaN(), 0); !math.IsNaN(w) {
+		t.Errorf("NaN median: width = %g, want NaN", w)
 	}
 }
 

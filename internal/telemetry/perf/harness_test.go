@@ -75,7 +75,7 @@ func TestRunSuitesProducesSealedPack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyRaw(raw); err != nil {
+	if err := Verify(raw); err != nil {
 		t.Fatalf("harness pack failed verification: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package perf
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -51,7 +52,7 @@ func TestPackCanonicalGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := p.WriteCanonical(&buf); err != nil {
+	if err := Write(&buf, p); err != nil {
 		t.Fatal(err)
 	}
 	got := strings.TrimSuffix(buf.String(), "\n")
@@ -96,7 +97,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	p := fixturePack()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "pack.json")
-	if err := p.WriteFile(path); err != nil {
+	if err := p.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(path, p); err != nil {
 		t.Fatal(err)
 	}
 	// A sealed pack read back verifies and round-trips its content.
@@ -110,15 +114,22 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.Manifest == nil || got.Manifest.Digest != p.Manifest.Digest {
 		t.Errorf("round-trip manifest mismatch")
 	}
-	if err := VerifyFile(path); err != nil {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(raw); err != nil {
 		t.Fatalf("verify sealed pack: %v", err)
 	}
 }
 
 func TestVerifyDetectsTampering(t *testing.T) {
 	p := fixturePack()
+	if err := p.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := p.WriteCanonical(&buf); err != nil {
+	if err := Write(&buf, p); err != nil {
 		t.Fatal(err)
 	}
 	// Hand-edit one timing digit: 35000000 -> 35000001.
@@ -126,7 +137,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	if bytes.Equal(tampered, buf.Bytes()) {
 		t.Fatal("tamper target not found")
 	}
-	err := VerifyRaw(tampered)
+	err := Verify(tampered)
 	if err == nil {
 		t.Fatal("verification passed on tampered pack")
 	}
@@ -134,7 +145,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 		t.Errorf("tampered pack exit code = %d, want %d", ExitCode(err), ExitVerification)
 	}
 	// The untampered document still verifies.
-	if err := VerifyRaw(buf.Bytes()); err != nil {
+	if err := Verify(buf.Bytes()); err != nil {
 		t.Fatalf("verify untampered: %v", err)
 	}
 	// A pack with no manifest carries no integrity claim.
@@ -143,7 +154,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ExitCode(VerifyRaw(raw)); got != ExitVerification {
+	if got := ExitCode(Verify(raw)); got != ExitVerification {
 		t.Errorf("unsealed pack exit code = %d, want %d", got, ExitVerification)
 	}
 }

@@ -6,7 +6,9 @@
 // (prosecutor/journalist/marketer) and E-series report digests — as
 // canonical JSON (perf.Canonicalize) under a SHA-256 self-manifest and the
 // same environment/dataset fingerprint perf packs carry (dataset content
-// hash, go version, vcs.revision, seed/N/K).
+// hash, go version, vcs.revision, seed/N/K). Sealing, writing and reading
+// go through perf's envelope codec; this package supplies only the
+// canonical section order.
 //
 // Because every captured quantity is recomputable from the recorded
 // configuration, a sealed pack supports *replay verification*: `compare
@@ -14,7 +16,7 @@
 // dataset draw and diffs the fresh capture against the recorded one
 // field-by-field — exact for codes, nodes and counts, ULP-tolerant for
 // float measures (see Diff). Exit codes follow the stable contract shared
-// with anonbench and benchdiff: 0 ok, 2 verification/tamper, 5 divergence,
+// with anonbench and anonstat: 0 ok, 2 verification/tamper, 5 divergence,
 // 6 invalid input.
 //
 // Floats need one extra rule the perf schema never hit: property vectors
@@ -33,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 
@@ -267,19 +268,11 @@ func (r *TableRecorder) Tables() []TableDigest {
 	return out
 }
 
-// Seal sorts every section into canonical order, computes the SHA-256
-// self-manifest over the canonical encoding of the pack without its
-// manifest, and installs it.
+// Seal sorts every section into canonical order and seals the pack with
+// the shared envelope codec (perf.Seal).
 func (p *Pack) Seal() error {
 	p.sortSections()
-	p.Manifest = nil
-	canon, err := perf.CanonicalMarshal(p)
-	if err != nil {
-		return fmt.Errorf("resultpack: seal: %w", err)
-	}
-	sum := sha256.Sum256(canon)
-	p.Manifest = &perf.Manifest{Algorithm: "sha256", Digest: hex.EncodeToString(sum[:])}
-	return nil
+	return perf.Seal(p, &p.Manifest)
 }
 
 func (p *Pack) sortSections() {
@@ -302,99 +295,14 @@ func (p *Pack) sortSections() {
 	sort.Strings(p.Experiments)
 }
 
-// WriteCanonical writes the sealed pack as canonical JSON plus a trailing
-// newline (not covered by the digest; Read tolerates it).
-func (p *Pack) WriteCanonical(w io.Writer) error {
-	if p.Manifest == nil {
-		if err := p.Seal(); err != nil {
-			return err
-		}
-	}
-	canon, err := perf.CanonicalMarshal(p)
-	if err != nil {
-		return fmt.Errorf("resultpack: %w", err)
-	}
-	if _, err := w.Write(canon); err != nil {
-		return err
-	}
-	_, err = w.Write([]byte("\n"))
-	return err
-}
+// WriteCanonical writes the pack with perf.Write: canonical JSON plus a
+// trailing newline. Seal it first.
+func (p *Pack) WriteCanonical(w io.Writer) error { return perf.Write(w, p) }
 
-// WriteFile writes the sealed pack to path ("-" for stdout).
-func (p *Pack) WriteFile(path string) error {
-	if path == "-" {
-		return p.WriteCanonical(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := p.WriteCanonical(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// Read decodes a sealed result pack (see perf.Decode): a wrong schema or
+// version is ExitInvalid; a pack without a manifest, or edited after
+// sealing, is ExitVerification.
+func Read(raw []byte) (*Pack, error) { return perf.Decode[Pack](raw, Schema, Version) }
 
-// Read parses and validates a result-pack document: schema and version
-// must match (ExitInvalid otherwise), and the self-manifest must verify
-// against the document bytes (ExitVerification otherwise — a pack without
-// a manifest, or edited after sealing, fails).
-func Read(raw []byte) (*Pack, error) {
-	var p Pack
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, perf.Exit(perf.ExitInvalid, fmt.Errorf("resultpack: parse pack: %w", err))
-	}
-	if p.Schema != Schema {
-		return nil, perf.Invalidf("resultpack: not a result pack (schema %q, want %q)", p.Schema, Schema)
-	}
-	if p.Version != Version {
-		return nil, perf.Invalidf("resultpack: unsupported pack version %d (reader supports %d)", p.Version, Version)
-	}
-	if err := VerifyRaw(raw); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
-// ReadFile reads and verifies a pack from disk.
-func ReadFile(path string) (*Pack, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, perf.Exit(perf.ExitInvalid, fmt.Errorf("resultpack: %w", err))
-	}
-	p, err := Read(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return p, nil
-}
-
-// VerifyRaw checks the self-manifest of a serialized pack: the document
-// minus its manifest field, canonicalized, must hash to the manifest
-// digest. Any post-seal edit — a flipped byte, a retouched measure —
-// changes the canonical bytes and fails with an ExitVerification error.
-// The check is shared with perf packs (same sealing construction).
-func VerifyRaw(raw []byte) error {
-	return perf.VerifyRaw(raw)
-}
-
-// VerifyFile reads path and checks its self-manifest.
-func VerifyFile(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return perf.Exit(perf.ExitInvalid, fmt.Errorf("resultpack: %w", err))
-	}
-	if err := VerifyRaw(raw); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
-}
-
-// HashBytes returns the hex SHA-256 of raw — the fingerprint recorded for
-// SourceFiles inputs.
-func HashBytes(raw []byte) string {
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
-}
+// ReadFile reads and decodes a sealed result pack from disk.
+func ReadFile(path string) (*Pack, error) { return perf.DecodeFile[Pack](path, Schema, Version) }

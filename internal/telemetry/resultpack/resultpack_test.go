@@ -131,6 +131,9 @@ func TestCanonicalBytesStable(t *testing.T) {
 
 func TestSealWriteReadRoundTrip(t *testing.T) {
 	p := samplePack()
+	if err := p.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := p.WriteCanonical(&buf); err != nil {
 		t.Fatal(err)
@@ -162,7 +165,9 @@ func TestSealWriteReadRoundTrip(t *testing.T) {
 	}
 	// A second write of the re-read pack reproduces identical bytes.
 	var buf2 bytes.Buffer
-	back.Manifest = nil
+	if err := back.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	if err := back.WriteCanonical(&buf2); err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +178,15 @@ func TestSealWriteReadRoundTrip(t *testing.T) {
 
 func TestTamperFailsVerification(t *testing.T) {
 	p := samplePack()
+	if err := p.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := p.WriteCanonical(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if err := VerifyRaw(raw); err != nil {
+	if err := perf.Verify(raw); err != nil {
 		t.Fatalf("clean pack failed verification: %v", err)
 	}
 	// Flip one digit inside a measure value.
@@ -186,7 +194,7 @@ func TestTamperFailsVerification(t *testing.T) {
 	if bytes.Equal(tampered, raw) {
 		t.Fatal("tamper target not found")
 	}
-	err := VerifyRaw(tampered)
+	err := perf.Verify(tampered)
 	if perf.ExitCode(err) != perf.ExitVerification {
 		t.Fatalf("tampered pack: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitVerification)
 	}
@@ -203,7 +211,7 @@ func TestTamperFailsVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyRaw(naked); perf.ExitCode(err) != perf.ExitVerification {
+	if err := perf.Verify(naked); perf.ExitCode(err) != perf.ExitVerification {
 		t.Fatalf("unsealed pack: %v", err)
 	}
 }
