@@ -2,6 +2,7 @@ package microdata
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"microdata/internal/algorithm"
@@ -286,6 +287,60 @@ func BenchmarkComparatorsAtScale(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTournament measures whole-field tournaments: 64 synthetic
+// class-size vectors at N=5000 (2016 pairs), one sub-benchmark per
+// comparator and one for WTD over two such properties.
+func BenchmarkTournament(b *testing.B) {
+	const entrants, n = 64, 5000
+	rng := rand.New(rand.NewSource(5))
+	classSizes := func() core.PropertyVector {
+		v := make(core.PropertyVector, 0, n)
+		for len(v) < n {
+			size := 5 + rng.Intn(60)
+			if size > n-len(v) {
+				size = n - len(v)
+			}
+			for i := 0; i < size; i++ {
+				v = append(v, float64(size))
+			}
+		}
+		return v
+	}
+	vectors := make([]core.PropertyVector, entrants)
+	sets := make([]core.PropertySet, entrants)
+	for i := range vectors {
+		vectors[i] = classSizes()
+		sets[i] = core.PropertySet{vectors[i], classSizes()}
+	}
+	dmax := make(core.PropertyVector, n)
+	for i := range dmax {
+		dmax[i] = n
+	}
+	for _, c := range []core.Comparator{
+		core.CovBetter(), core.SprBetter(), core.HvLogBetter(),
+		core.RankBetter{Dmax: dmax}, core.MinBetter(),
+	} {
+		b.Run(c.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Tournament(vectors, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	wtd, err := core.NewWTD([]float64{0.5, 0.5}, []core.BinaryIndex{core.PCov, core.PSpr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("WTD", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.TournamentSets(sets, wtd); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkGAAblation compares the two crossover operators (E15).

@@ -75,13 +75,37 @@ func (c fromBinary) Compare(a, b PropertyVector) (Outcome, error) {
 	if math.IsNaN(ab) || math.IsNaN(ba) {
 		return Tie, fmt.Errorf("core: comparator %q: index %q is undefined for these vectors", c.name, c.idx.Name)
 	}
+	return higherWins(ab, ba), nil
+}
+
+// prepare returns the fused match over a validated field, or nil when the
+// index has no kernel or an entrant fails its precondition; the pairwise
+// Compare then plays the field and reports any error.
+func (c fromBinary) prepare(vectors []PropertyVector) func(i, j int) (Outcome, error) {
+	k := c.idx.kernel()
+	if k == nil {
+		return nil
+	}
+	field, ok := k.prepareAll(vectors)
+	if !ok {
+		return nil
+	}
+	// The kernels cannot return NaN on a field of non-empty finite
+	// entrants, so the error Compare reports for NaN never arises here.
+	return func(i, j int) (Outcome, error) {
+		return higherWins(k.play(field[i], field[j])), nil
+	}
+}
+
+// higherWins is the rule P(a,b) > P(b,a) ⟺ a ▶ b.
+func higherWins(ab, ba float64) Outcome {
 	switch {
 	case ab > ba:
-		return LeftBetter, nil
+		return LeftBetter
 	case ba > ab:
-		return RightBetter, nil
+		return RightBetter
 	default:
-		return Tie, nil
+		return Tie
 	}
 }
 
@@ -155,16 +179,33 @@ func (r RankBetter) Compare(a, b PropertyVector) (Outcome, error) {
 	if r.Eps < 0 || math.IsNaN(r.Eps) {
 		return Tie, fmt.Errorf("core: rank comparator: invalid tolerance %v", r.Eps)
 	}
-	idx := PRankWith(r.Dmax, r.Norm)
-	ra, rb := idx.F(a), idx.F(b)
+	return r.outcome(rankDistance(a, r.Dmax, r.Norm), rankDistance(b, r.Dmax, r.Norm)), nil
+}
+
+// prepare returns the match over a validated field with each entrant's
+// distance taken once, or nil when Dmax or Eps is invalid; the pairwise
+// Compare then reports the error.
+func (r RankBetter) prepare(vectors []PropertyVector) func(i, j int) (Outcome, error) {
+	if len(vectors[0]) != len(r.Dmax) || r.Eps < 0 || math.IsNaN(r.Eps) {
+		return nil
+	}
+	dist := make([]float64, len(vectors))
+	for i, v := range vectors {
+		dist[i] = rankDistance(v, r.Dmax, r.Norm)
+	}
+	return func(i, j int) (Outcome, error) { return r.outcome(dist[i], dist[j]), nil }
+}
+
+// outcome compares two distances from Dmax under the tolerance.
+func (r RankBetter) outcome(ra, rb float64) Outcome {
 	if math.Abs(ra-rb) <= r.Eps {
-		return Tie, nil
+		return Tie
 	}
 	// Lower rank (distance) is better.
 	if ra < rb {
-		return LeftBetter, nil
+		return LeftBetter
 	}
-	return RightBetter, nil
+	return RightBetter
 }
 
 // DominanceBetter adapts strict dominance (Table 4) to the Comparator

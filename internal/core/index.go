@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 )
 
@@ -80,36 +81,39 @@ func PRank(dmax PropertyVector) UnaryIndex { return PRankWith(dmax, L2) }
 func PRankWith(dmax PropertyVector, norm Norm) UnaryIndex {
 	ref := dmax.Clone()
 	return UnaryIndex{
-		Name: "P_rank-" + norm.String(),
-		F: func(d PropertyVector) float64 {
-			if len(d) != len(ref) {
-				return math.NaN()
-			}
-			switch norm {
-			case L1:
-				s := 0.0
-				for i := range d {
-					s += math.Abs(d[i] - ref[i])
-				}
-				return s
-			case LInf:
-				m := 0.0
-				for i := range d {
-					if a := math.Abs(d[i] - ref[i]); a > m {
-						m = a
-					}
-				}
-				return m
-			default:
-				s := 0.0
-				for i := range d {
-					diff := d[i] - ref[i]
-					s += diff * diff
-				}
-				return math.Sqrt(s)
-			}
-		},
+		Name:           "P_rank-" + norm.String(),
+		F:              func(d PropertyVector) float64 { return rankDistance(d, ref, norm) },
 		HigherIsBetter: false,
+	}
+}
+
+// rankDistance is ||d - ref|| under norm, or NaN when the lengths differ.
+func rankDistance(d, ref PropertyVector, norm Norm) float64 {
+	if len(d) != len(ref) {
+		return math.NaN()
+	}
+	switch norm {
+	case L1:
+		s := 0.0
+		for i := range d {
+			s += math.Abs(d[i] - ref[i])
+		}
+		return s
+	case LInf:
+		m := 0.0
+		for i := range d {
+			if a := math.Abs(d[i] - ref[i]); a > m {
+				m = a
+			}
+		}
+		return m
+	default:
+		s := 0.0
+		for i := range d {
+			diff := d[i] - ref[i]
+			s += diff * diff
+		}
+		return math.Sqrt(s)
 	}
 }
 
@@ -120,6 +124,60 @@ type BinaryIndex struct {
 	Name string
 	// F computes the index value for the ordered pair (a, b).
 	F func(a, b PropertyVector) float64
+
+	// fused is the tournament kernel of the package's PCov, PSpr and
+	// PHvLog; it is nil for every other index.
+	fused *pairKernel
+}
+
+// pairKernel plays a binary index over a whole tournament field: prep, when
+// set, derives each entrant's logs once, and play returns P(a,b) and P(b,a)
+// of two prepared entrants in one pass, bit-identical to calling f in each
+// direction.
+type pairKernel struct {
+	f    func(a, b PropertyVector) float64
+	prep func(v PropertyVector) (logs PropertyVector, ok bool)
+	play func(a, b entrant) (ab, ba float64)
+}
+
+// entrant is a tournament entrant as a kernel plays it.
+type entrant struct {
+	v    PropertyVector
+	logs PropertyVector // element-wise logs, for PHvLog only
+}
+
+// withKernel returns the index named name computing f, with its tournament
+// kernel attached.
+func withKernel(name string, f func(a, b PropertyVector) float64,
+	prep func(PropertyVector) (PropertyVector, bool), play func(a, b entrant) (ab, ba float64)) BinaryIndex {
+	return BinaryIndex{Name: name, F: f, fused: &pairKernel{f: f, prep: prep, play: play}}
+}
+
+// kernel returns the index's tournament kernel, or nil when it has none or
+// F no longer is the function the kernel reproduces (a copy of PCov whose F
+// was replaced, say).
+func (idx BinaryIndex) kernel() *pairKernel {
+	if idx.fused == nil || reflect.ValueOf(idx.F).Pointer() != reflect.ValueOf(idx.fused.f).Pointer() {
+		return nil
+	}
+	return idx.fused
+}
+
+// prepareAll prepares every entrant, reporting false when one fails the
+// kernel's precondition.
+func (k *pairKernel) prepareAll(vectors []PropertyVector) ([]entrant, bool) {
+	out := make([]entrant, len(vectors))
+	for i, v := range vectors {
+		out[i].v = v
+		if k.prep != nil {
+			logs, ok := k.prep(v)
+			if !ok {
+				return nil, false
+			}
+			out[i].logs = logs
+		}
+	}
+	return out, true
 }
 
 // PBinary is the paper's §3 example binary index: the number of entries of
@@ -137,7 +195,7 @@ var PBinary = BinaryIndex{Name: "P_binary", F: func(a, b PropertyVector) float64
 
 // PCov is the §5.2 coverage index: the fraction of tuples whose property
 // value in a is at least that in b. P_cov(D1,D2) > P_cov(D2,D1) ⟺ D1 ▶cov D2.
-var PCov = BinaryIndex{Name: "P_cov", F: func(a, b PropertyVector) float64 {
+var PCov = withKernel("P_cov", func(a, b PropertyVector) float64 {
 	if len(a) == 0 {
 		return math.NaN()
 	}
@@ -148,11 +206,23 @@ var PCov = BinaryIndex{Name: "P_cov", F: func(a, b PropertyVector) float64 {
 		}
 	}
 	return float64(n) / float64(len(a))
-}}
+}, nil, func(p, q entrant) (float64, float64) {
+	a, b := p.v, q.v
+	nab, nba := 0, 0
+	for i := range a {
+		if a[i] >= b[i] {
+			nab++
+		}
+		if b[i] >= a[i] {
+			nba++
+		}
+	}
+	return float64(nab) / float64(len(a)), float64(nba) / float64(len(a))
+})
 
 // PSpr is the §5.3 spread index: the total magnitude by which a exceeds b
 // over the tuples where a is better. P_spr(D1,D2)=0 ⟺ D2 ≿ D1.
-var PSpr = BinaryIndex{Name: "P_spr", F: func(a, b PropertyVector) float64 {
+var PSpr = withKernel("P_spr", func(a, b PropertyVector) float64 {
 	s := 0.0
 	for i := range a {
 		if d := a[i] - b[i]; d > 0 {
@@ -160,7 +230,20 @@ var PSpr = BinaryIndex{Name: "P_spr", F: func(a, b PropertyVector) float64 {
 		}
 	}
 	return s
-}}
+}, nil, func(p, q entrant) (float64, float64) {
+	// b[i]-a[i] is exactly -(a[i]-b[i]) in IEEE arithmetic, so the mirror
+	// sum adds the same values in the same order as P_spr(b,a).
+	a, b := p.v, q.v
+	sab, sba := 0.0, 0.0
+	for i := range a {
+		if d := a[i] - b[i]; d > 0 {
+			sab += d
+		} else if d < 0 {
+			sba -= d
+		}
+	}
+	return sab, sba
+})
 
 // PHv is the §5.4 hypervolume index: the volume of property space on which
 // a is solely ≿-better, computed as Π a_i − Π min(a_i, b_i). It assumes
@@ -175,15 +258,21 @@ var PHv = BinaryIndex{Name: "P_hv", F: func(a, b PropertyVector) float64 {
 	return pa - pm
 }}
 
-// PHvLog is an order-preserving large-N replacement for PHv: it returns
-// log(Π a_i) − log(Π min(a_i,b_i)) = Σ log a_i − Σ log min(a_i,b_i),
-// the log-ratio of the two hypervolumes. It requires strictly positive
-// vectors and returns NaN otherwise. PHvLog(a,b) > PHvLog(b,a) agrees with
-// PHv's ordering whenever both are defined: both differences are monotone
-// transforms of the same volume ratio comparison only when the common
-// volume is shared, so the harness uses PHvLog consistently on both sides
-// of a comparison (see EXPERIMENTS.md for the derivation and caveats).
-var PHvLog = BinaryIndex{Name: "P_hv-log", F: func(a, b PropertyVector) float64 {
+// PHvLog is PHv in log space for large data sets: the log-ratio of the two
+// hypervolumes, log(Π a_i) − log(Π min(a_i,b_i)) = Σ log a_i − Σ log
+// min(a_i,b_i). It requires strictly positive vectors and returns NaN
+// otherwise. The min-volume term is symmetric in a and b, so
+// PHvLog(a,b) − PHvLog(b,a) = Σ log a_i − Σ log b_i, which has the same sign
+// as PHv's Π a_i − Π b_i in exact arithmetic: ▶hv-log orders pairs as ▶hv
+// does wherever both are defined. The comparator still sums the per-pair
+// terms rather than comparing Σ log a_i with Σ log b_i, so that near-tie
+// outcomes stay bit-stable.
+//
+// Its tournament kernel takes every entrant's logs once. A term
+// log a_i − log min(a_i,b_i) is an exact zero wherever a_i ≤ b_i, so the
+// kernel sums log a_i − log b_i over a_i > b_i alone, in index order, and
+// gets the same floats.
+var PHvLog = withKernel("P_hv-log", func(a, b PropertyVector) float64 {
 	s := 0.0
 	for i := range a {
 		m := math.Min(a[i], b[i])
@@ -193,7 +282,27 @@ var PHvLog = BinaryIndex{Name: "P_hv-log", F: func(a, b PropertyVector) float64 
 		s += math.Log(a[i]) - math.Log(m)
 	}
 	return s
-}}
+}, func(v PropertyVector) (PropertyVector, bool) {
+	logs := make(PropertyVector, len(v))
+	for i, x := range v {
+		if x <= 0 {
+			return nil, false
+		}
+		logs[i] = math.Log(x)
+	}
+	return logs, true
+}, func(p, q entrant) (float64, float64) {
+	a, b, la, lb := p.v, q.v, p.logs, q.logs
+	sab, sba := 0.0, 0.0
+	for i := range a {
+		if a[i] > b[i] {
+			sab += la[i] - lb[i]
+		} else if b[i] > a[i] {
+			sba += lb[i] - la[i]
+		}
+	}
+	return sab, sba
+})
 
 // EvalBinary validates the pair and applies the index.
 func EvalBinary(idx BinaryIndex, a, b PropertyVector) (float64, error) {

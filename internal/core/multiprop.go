@@ -157,13 +157,41 @@ func (w *WTD) Compare(a, b PropertySet) (Outcome, error) {
 	if err != nil {
 		return Tie, err
 	}
-	switch {
-	case ab > ba:
-		return LeftBetter, nil
-	case ba > ab:
-		return RightBetter, nil
-	default:
-		return Tie, nil
+	return higherWins(ab, ba), nil
+}
+
+// prepare returns the fused match over a validated field, or nil when the
+// weights or indices do not fit the field, an index has no kernel or an
+// entrant fails one; the pairwise Compare then plays the field and reports
+// any error. Each match sums the per-property kernels in property order, as
+// Score does.
+func (w *WTD) prepare(sets []PropertySet) func(i, j int) (Outcome, error) {
+	if len(sets[0]) != len(w.Weights) || len(w.Indices) != len(w.Weights) {
+		return nil
+	}
+	kernels := make([]*pairKernel, len(w.Indices))
+	fields := make([][]entrant, len(w.Indices))
+	vectors := make([]PropertyVector, len(sets))
+	for p, idx := range w.Indices {
+		if kernels[p] = idx.kernel(); kernels[p] == nil {
+			return nil
+		}
+		for e, s := range sets {
+			vectors[e] = s[p]
+		}
+		var ok bool
+		if fields[p], ok = kernels[p].prepareAll(vectors); !ok {
+			return nil
+		}
+	}
+	return func(i, j int) (Outcome, error) {
+		ab, ba := 0.0, 0.0
+		for p, k := range kernels {
+			vab, vba := k.play(fields[p][i], fields[p][j])
+			ab += w.Weights[p] * vab
+			ba += w.Weights[p] * vba
+		}
+		return higherWins(ab, ba), nil
 	}
 }
 
